@@ -34,6 +34,7 @@ from .errors import (
     EmptyGroundSet,
     GroundMismatch,
     HypothesisViolated,
+    InvalidMode,
     InvalidRank,
     MissingParam,
     NonRegularLambda,
@@ -92,4 +93,4 @@ from .verifiers import (
     verify,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .chambers import sample_regular, wall_point
 from .corpus import CORPUS_NAMES, basis_to_dict, named_basis, random_basis, resolve_basis
-from .errors import ConecertError, HypothesisViolated, InvalidRank
+from .errors import ConecertError, HypothesisViolated, InvalidMode, InvalidRank
 from .geometry import EuclideanBasis
 from .linalg import QVector, int_dot
 from .partitions import build_frame, enumerate_ordered_partitions
@@ -54,7 +54,7 @@ def _parse_mode(mode: str):
         elif tok == "exploratory":
             strict = False
         else:
-            raise InvalidRank(f"unknown mode token {tok!r}")
+            raise InvalidMode(f"unknown mode token {tok!r}")
     return kind, strict
 
 
@@ -121,7 +121,7 @@ def _hypothesis_lams(basis, lam_fs, count, seed, bound):
         for i, ci in enumerate(c):
             if ci:
                 lam = lam + basis.dual_vector(i).scale(-ci)
-        if all(int_dot(f, lam.coords) != 0 for f in lam_fs.forms):
+        if all(int_dot(f, lam.ints) != 0 for f in lam_fs.forms):
             out.append(lam)
     return out
 

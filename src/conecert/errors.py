@@ -54,6 +54,10 @@ class InvalidRank(ConecertError):
     """Requested rank is outside the family's legal range."""
 
 
+class InvalidMode(ConecertError):
+    """A --mode token is not one of the known basis or strictness tokens."""
+
+
 class MissingParam(ConecertError):
     """An identity was invoked without a parameter it requires."""
 

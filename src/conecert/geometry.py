@@ -86,21 +86,6 @@ class EuclideanBasis:
             out[i] = c[k]
         return QVector(out)
 
-    def project_onto(self, spanning: Sequence[QVector], x: QVector) -> QVector:
-        """Orthogonal projection of x onto span(spanning), via normal equations.
-
-        The spanning family must be linearly independent.
-        """
-        if not spanning:
-            return QVector([0] * self.rank)
-        m = QMatrix([[self.inner(u, v) for v in spanning] for u in spanning])
-        t = QVector(self.inner(u, x) for u in spanning)
-        c = solve(m, t)
-        out = QVector([0] * self.rank)
-        for k, u in enumerate(spanning):
-            out = out + u.scale(c[k])
-        return out
-
     def project(self, lower: int, upper: int) -> "ProjectedBasis":
         """Projected system for the nested pair lower <= upper (cached)."""
         key = (lower, upper)
@@ -200,8 +185,8 @@ def lambda_cut(pb: ProjectedBasis, lam: QVector) -> LambdaCut:
     p = pb.lower
     q = pb.lower
     for i in pb.indices:
-        if int_dot(pb.dual_icov[i], lam.coords) <= 0:
+        if int_dot(pb.dual_icov[i], lam.ints) <= 0:
             p |= 1 << i
-        if int_dot(pb.elem_icov[i], lam.coords) > 0:
+        if int_dot(pb.elem_icov[i], lam.ints) > 0:
             q |= 1 << i
     return LambdaCut(p, q)

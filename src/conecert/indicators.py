@@ -24,7 +24,7 @@ from .subsets import popcount
 
 
 def _pos(icov, point: QVector) -> bool:
-    return int_dot(icov, point.coords) > 0
+    return int_dot(icov, point.ints) > 0
 
 
 def tau_pair(pb: ProjectedBasis, h: QVector) -> tuple[int, int]:

@@ -52,10 +52,18 @@ class QVector:
     QVector(3/2, 2)
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_ints")
 
     def __init__(self, coords: Iterable):
         self.coords = tuple(_frac(c) for c in coords)
+        self._ints = None
+
+    @property
+    def ints(self) -> tuple[int, ...]:
+        """Cached primitive_tuple(coords): same sign as coords on any integer form."""
+        if self._ints is None:
+            self._ints = primitive_tuple(self.coords)
+        return self._ints
 
     def __len__(self) -> int:
         return len(self.coords)

@@ -91,16 +91,22 @@ class PartitionFrame:
 
     For block u with running union E^u (as masks of ambient indices), the
     layer W^u is the orthogonal complement of span(duals of E^{u-1}) inside
-    span(duals of E^u).  Each index i in block u contributes:
+    span(duals of E^u).  Index i in block u gets proj_elements[i], element i
+    projected onto W^u (equally onto span(duals of E^u)), and proj_duals[i],
+    dual i minus its projection onto span(duals of E^{u-1}).  Within one
+    block the two families pair to the identity; blocks are orthogonal.
 
-      proj_elements[i] : element i projected onto W^u; because element i is
-                         orthogonal to the earlier dual span, this equals its
-                         projection onto span(duals of E^u).
-      proj_duals[i]    : dual i minus its projection onto the earlier dual
-                         span (dual i already lies in span(duals of E^u)).
+    For the (p, r) system both families are projection-cache lookups:
 
-    Within one block the two families pair to the identity, and distinct
-    blocks are orthogonal layers.
+      proj_elements[i] == basis.project(r & ~E^u, r).elements[i]
+      proj_duals[i]    == basis.project(p, r & ~E^{u-1}).duals[i]
+
+    Proof.  Elements outside E pair to zero with duals in E, so inside
+    span(elements), span(duals of E) is the orthogonal complement of
+    span(elements outside E).  Element i projected onto span(duals of E^u) is
+    basis vector i minus its part in span(p) + span(elements outside E^u),
+    which is span(r & ~E^u).  Dual i minus its part in span(duals of E^{u-1})
+    lies in span(elements outside E^{u-1}) and pairs to delta with them.
     """
 
     def __init__(self, base: ProjectedBasis, partition: OrderedPartition):
@@ -109,35 +115,30 @@ class PartitionFrame:
         self.base = base
         self.partition = partition
         basis = base.basis
+        r = base.upper
 
         self.proj_elements: dict[int, QVector] = {}
         self.proj_duals: dict[int, QVector] = {}
-        self._block_of: dict[int, int] = {}
+        self.elem_icov: dict[int, tuple[int, ...]] = {}
+        self.dual_icov: dict[int, tuple[int, ...]] = {}
 
-        prev_duals: list[QVector] = []
-        prev_mask = 0
-        for u, block in enumerate(partition.blocks):
-            cum_mask = prev_mask | block
-            cum_duals = prev_duals + [base.dual(i) for i in bits(block)]
+        done = 0
+        for block in partition.blocks:
+            elem_src = basis.project(r & ~(done | block), r)
+            dual_src = basis.project(base.lower, r & ~done)
             for i in bits(block):
-                self._block_of[i] = u
-                self.proj_elements[i] = basis.project_onto(cum_duals, base.element(i))
-                self.proj_duals[i] = base.dual(i) - basis.project_onto(prev_duals, base.dual(i))
-            prev_duals = cum_duals
-            prev_mask = cum_mask
-
-        self.elem_icov = {i: basis.icov(v) for i, v in self.proj_elements.items()}
-        self.dual_icov = {i: basis.icov(v) for i, v in self.proj_duals.items()}
+                self.proj_elements[i] = elem_src.elements[i]
+                self.elem_icov[i] = elem_src.elem_icov[i]
+                self.proj_duals[i] = dual_src.duals[i]
+                self.dual_icov[i] = dual_src.dual_icov[i]
+            done |= block
 
     @property
     def indices(self) -> tuple[int, ...]:
         return self.base.indices
 
     def block_of(self, i: int) -> int:
-        return self._block_of[i]
-
-    def first_block(self) -> int:
-        return self.partition.blocks[0]
+        return self.partition.block_of(i)
 
 
 def build_frame(base, partition: OrderedPartition) -> PartitionFrame:

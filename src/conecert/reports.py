@@ -20,7 +20,7 @@ from .verifiers import CertificateReport, Verdict
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    return str(x) if isinstance(x, Fraction) else str(Fraction(x))
 
 
 def coords_list(vec) -> list[str]:

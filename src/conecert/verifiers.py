@@ -215,7 +215,7 @@ def hypothesis_ok(basis: EuclideanBasis, lam: Optional[QVector]) -> bool:
     if not obtuse(basis):
         return False
     full = basis.full_projection()
-    return all(int_dot(full.elem_icov[i], lam.coords) <= 0 for i in full.indices)
+    return all(int_dot(full.elem_icov[i], lam.ints) <= 0 for i in full.indices)
 
 
 def _need(value, name: str):
@@ -685,7 +685,7 @@ class CertifySession:
 
     def _fast_records(self, lam: QVector) -> list[CellRecord]:
         pb, tables, dual_bits = self._fast_tables
-        lamc = lam.coords
+        lamc = lam.ints
         first_specs = []  # per frame: (sign, phi mask, phi want, psi mask, psi want) or None
         for fr, elem_bits in tables:
             pc_mask = 0
@@ -781,8 +781,8 @@ class CertifySession:
         return terms
 
     def _p34_records(self, lam1: QVector, lam2: QVector) -> list[CellRecord]:
-        l1 = lam1.coords
-        l2 = lam2.coords
+        l1 = lam1.ints
+        l2 = lam2.ints
         specs = []  # per middle subset: (sign, hat mask, hat want, mask, want)
         for low, high, low_bits, high_bits in self._p34_static:
             hat_mask = 0
@@ -842,7 +842,7 @@ class CertifySession:
         if lam is None:
             return
         for f in self.lam_forms.forms:
-            if int_dot(f, lam.coords) == 0:
+            if int_dot(f, lam.ints) == 0:
                 raise NonRegularLambda(f"{name} lies on wall {f}")
 
     def run(

@@ -1,11 +1,15 @@
 """Command line behavior: verbs, exit codes, formats, determinism."""
 
 import json
+import tomllib
+from pathlib import Path
 
 import pytest
 
-from conecert.cli import main
+import conecert
+from conecert.cli import _parse_mode, main
 from conecert.corpus import named_basis, save_basis
+from conecert.errors import InvalidMode
 
 
 def run(capsys, *argv):
@@ -190,6 +194,18 @@ def test_mode_token_rejected(capsys):
     )
     assert code == 2
     assert "mode" in err
+
+
+def test_mode_token_error_class():
+    with pytest.raises(InvalidMode):
+        _parse_mode("obtuse,fast")
+    assert _parse_mode("obtuse,exploratory") == ("obtuse", False)
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert conecert.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 def test_unknown_identity_rejected_by_argparse(capsys):

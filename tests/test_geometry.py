@@ -10,7 +10,7 @@ from conecert.geometry import lambda_cut, make_basis
 from conecert.linalg import QVector, int_dot
 from conecert.subsets import full_mask, iter_nested_pairs
 
-from conftest import qv
+from conftest import project_onto, qv
 
 
 def test_make_basis_validates_gram():
@@ -185,7 +185,7 @@ def test_projection_norm_identity(b2):
                 (b2.inner(pb.element(i), h) * b2.inner(pb.dual(i), h) for i in pb.indices),
                 Fraction(0),
             )
-            proj = b2.project_onto([pb.element(i) for i in pb.indices], h)
+            proj = project_onto(b2, [pb.element(i) for i in pb.indices], h)
             assert total == b2.inner(proj, proj)
             assert total >= 0
             assert (total == 0) == proj.is_zero()

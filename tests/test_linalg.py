@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert.corpus import named_basis
 from conecert.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -25,6 +26,7 @@ from conecert.linalg import (
     unit_vector,
     zero_vector,
 )
+from conecert.subsets import iter_nested_pairs
 
 
 def test_qvector_arithmetic_is_exact():
@@ -140,6 +142,62 @@ def test_primitive_tuple_preserves_signs(vec):
     for orig, red in zip(vec, prim):
         assert (orig > 0) == (red > 0)
         assert (orig == 0) == (red == 0)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _exact_dot(form, vec: QVector) -> Fraction:
+    return sum((a * b for a, b in zip(form, vec.coords)), Fraction(0))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(rational_vectors(), st.data())
+def test_qvector_ints_keep_every_form_sign(vec, data):
+    n = len(vec)
+    forms = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+    # forms vanishing on vec: (v_j, -v_i) in slots (i, j), denominators cleared
+    den = 1
+    for c in vec:
+        den *= c.denominator
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = [0] * n
+            f[i] = int(vec[j] * den)
+            f[j] = -int(vec[i] * den)
+            forms.append(f)
+    for v in (QVector(vec), QVector([0] * n)):
+        for f in forms:
+            assert _sign(int_dot(f, v.ints)) == _sign(_exact_dot(f, v))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    st.sampled_from(["A3", "B3", "C3", "G2", "D4"]),
+    st.lists(st.integers(0, 9), min_size=4, max_size=4),
+)
+def test_qvector_ints_on_negated_dual_directions(name, coeffs):
+    """Directions built like the CLI's hypothesis samples: -sum c_i * dual_i."""
+    basis = named_basis(name)
+    lam = QVector([0] * basis.rank)
+    for i, c in enumerate(coeffs[: basis.rank]):
+        lam = lam + basis.dual_vector(i).scale(-c)
+    for p, r in iter_nested_pairs(basis.rank):
+        pb = basis.project(p, r)
+        for f in list(pb.elem_icov.values()) + list(pb.dual_icov.values()):
+            assert _sign(int_dot(f, lam.ints)) == _sign(_exact_dot(f, lam))
+
+
+def test_qvector_ints_cached_and_equality_unchanged():
+    v = QVector([Fraction(2, 3), Fraction(-4, 3), 0])
+    assert v.ints == (1, -2, 0)
+    assert v.ints is v.ints
+    assert v == QVector([Fraction(2, 3), Fraction(-4, 3), 0])
+    assert hash(v) == hash(QVector(v.coords))
+    assert QVector([0, 0]).ints == (0, 0)
 
 
 @st.composite

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conecert.corpus import named_basis, random_basis
 from conecert.errors import EmptyGroundSet, GroundMismatch
 from conecert.geometry import make_basis
 from conecert.partitions import (
@@ -12,9 +15,9 @@ from conecert.partitions import (
     enumerate_ordered_partitions,
     fubini,
 )
-from conecert.subsets import bits, full_mask
+from conecert.subsets import bits, full_mask, iter_nested_pairs
 
-from conftest import qv
+from conftest import project_onto
 
 
 def test_fubini_sequence():
@@ -158,3 +161,50 @@ def test_frame_on_projected_pair(b2):
     frame = build_frame(pb, OrderedPartition(0b10, (0b10,)))
     assert frame.proj_elements[1] == pb.element(1)
     assert frame.proj_duals[1] == pb.dual(1)
+
+
+def reference_frame(base, partition):
+    """The four frame dicts by normal equations over the cumulative dual spans."""
+    basis = base.basis
+    proj_elements = {}
+    proj_duals = {}
+    prev_duals = []
+    for block in partition.blocks:
+        cum_duals = prev_duals + [base.dual(i) for i in bits(block)]
+        for i in bits(block):
+            proj_elements[i] = project_onto(basis, cum_duals, base.element(i))
+            proj_duals[i] = base.dual(i) - project_onto(basis, prev_duals, base.dual(i))
+        prev_duals = cum_duals
+    elem_icov = {i: basis.icov(v) for i, v in proj_elements.items()}
+    dual_icov = {i: basis.icov(v) for i, v in proj_duals.items()}
+    return proj_elements, proj_duals, elem_icov, dual_icov
+
+
+def assert_frames_match_reference(basis):
+    checked = 0
+    for p, r in iter_nested_pairs(basis.rank):
+        if p == r:
+            continue
+        base = basis.project(p, r)
+        for part in enumerate_ordered_partitions(r & ~p):
+            frame = build_frame(base, part)
+            got = (frame.proj_elements, frame.proj_duals, frame.elem_icov, frame.dual_icov)
+            assert got == reference_frame(base, part), (basis.name, p, r, part.blocks)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "A4"])
+def test_frames_match_normal_equations(name):
+    """Projection-cache frames equal the normal-equation construction exactly."""
+    assert assert_frames_match_reference(named_basis(name)) > 0
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+    st.sampled_from(["general", "obtuse"]),
+)
+def test_frames_match_normal_equations_random_bases(rank, seed, kind):
+    assert_frames_match_reference(random_basis(rank, seed, kind))

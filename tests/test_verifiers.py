@@ -324,17 +324,28 @@ def test_certificate_rejects_wall_direction(a2):
         sess.run(lam=qv(1, 0))  # on the wall of the first dual form
 
 
-def test_fast_and_generic_paths_agree(b2):
+def _routes_agree(basis, identity, lam_keys, count, **inst):
+    """Fast certificate route against a direct verify at every witness."""
+    sess = CertifySession(basis, identity, **inst)
+    assert sess._fast_tables is not None or sess._p34_static is not None
+    lams = sample_regular(sess.lam_forms, count * len(lam_keys), seed=repr(("fg", inst)))
+    for k in range(count):
+        lam_kw = dict(zip(lam_keys, lams[k * len(lam_keys):]))
+        fast = sess.run(**lam_kw)
+        slow = [verify(basis, identity, h=c.witness, **inst, **lam_kw) for c in sess.cells]
+        assert [(c.lhs, c.rhs) for c in fast.cells] == [(v.lhs, v.rhs) for v in slow], (
+            basis.name, identity, inst, k
+        )
+
+
+def test_fast_and_generic_paths_agree(a2, b2, a3):
     for p, r in ((0, 0b11), (0b01, 0b11)):
-        sess = CertifySession(b2, "P41", p=p, r=r)
-        for lam in sample_regular(sess.lam_forms, 4, seed=repr(("fg", p, r))):
-            fast = sess.run(lam=lam)
-            slow = [
-                verify(b2, "P41", p=p, r=r, lam=lam, h=c.witness) for c in sess.cells
-            ]
-            assert [(c.lhs, c.rhs) for c in fast.cells] == [
-                (v.lhs, v.rhs) for v in slow
-            ]
+        _routes_agree(b2, "P41", ("lam",), 4, p=p, r=r)
+    for basis in (a2, a3):
+        _routes_agree(basis, "BOULDER_21", ("lam",), 4, p=0, r=full_mask(basis.rank))
+    for basis in (a2, b2, a3):
+        for p, r in iter_nested_pairs(basis.rank):
+            _routes_agree(basis, "P34", ("lam1", "lam2"), 2, p=p, r=r)
 
 
 def test_product_vanishing_certificates(a2):
