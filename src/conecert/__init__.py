@@ -44,8 +44,8 @@ from .errors import (
     RankMismatch,
     SamplingExhausted,
     SingularMatrix,
+    WitnessNotInterior,
 )
-from .feasibility import REL_EQ, REL_GT, REL_LE, StrictSystem, feasible_witness
 from .geometry import (
     EuclideanBasis,
     LambdaCut,

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import CellBudgetExceeded, SamplingExhausted
-from .linalg import QVector, int_dot, primitive_tuple
+from .errors import CellBudgetExceeded, ConecertError, SamplingExhausted, WitnessNotInterior
+from .linalg import QMatrix, QVector, int_dot, invert, primitive_tuple
 
 MAX_FORMS = 40
 MAX_CELLS = 500_000
@@ -90,20 +90,10 @@ def _independent_subset(forms, dim):
     return chosen
 
 
-def _invert_int(rows):
-    """Exact inverse of a square integer matrix, as Fraction rows."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _witness(rays, span_basis, dim):
+    """Sum of a cone's rays, taken from span coordinates back to a point."""
+    y = [sum(col) for col in zip(*rays)]
+    return tuple(sum(c * b[i] for c, b in zip(y, span_basis)) for i in range(dim))
 
 
 class _Cone:
@@ -119,11 +109,12 @@ def enumerate_cells(
     fs: FormSet,
     max_forms: int = MAX_FORMS,
     max_cells: int = MAX_CELLS,
-    validate: bool = False,
 ) -> list[Cell]:
     """Every chamber of the arrangement exactly once, sorted by sign vector.
 
-    Raises CellBudgetExceeded beyond the form or cell budget.
+    Each witness is substituted into every form before it is returned.
+    Raises CellBudgetExceeded beyond the form or cell budget, and
+    WitnessNotInterior if a witness is not strictly inside its sign vector.
     """
     m = len(fs.forms)
     if m > max_forms:
@@ -140,11 +131,8 @@ def enumerate_cells(
     mapped = [tuple(int_dot(fs.forms[i], b) for b in span_basis) for i in proc_order]
 
     # seed cells: the 2^k orthants of the first k (independent) mapped forms
-    inv_cols = _invert_int(mapped[:k])
-    base_rays = []
-    for j in range(k):
-        col = [inv_cols[r][j] for r in range(k)]
-        base_rays.append(primitive_tuple(col))
+    inv = invert(QMatrix(mapped[:k]))
+    base_rays = [primitive_tuple(inv.col(j)) for j in range(k)]
     full_k = (1 << k) - 1
     cells: list[_Cone] = []
     for sbits in range(1 << k):
@@ -212,18 +200,13 @@ def enumerate_cells(
         if len(cells) > max_cells:
             raise CellBudgetExceeded(f"more than {max_cells} cells")
 
-    d = fs.dim
     out = []
     for cone in cells:
-        y = [0] * k
-        for r in cone.rays:
-            for j in range(k):
-                y[j] += r[j]
-        x = tuple(sum(y[j] * span_basis[j][i] for j in range(k)) for i in range(d))
+        x = _witness(cone.rays, span_basis, fs.dim)
         signs = tuple(1 if cone.signbits >> pos_of[i] & 1 else -1 for i in range(m))
-        if validate:
-            for i in range(m):
-                assert signs[i] * int_dot(fs.forms[i], x) > 0, "witness not interior"
+        for f, s in zip(fs.forms, signs):
+            if s * int_dot(f, x) <= 0:
+                raise WitnessNotInterior(f"witness {x} not strictly inside cell {signs}")
         out.append(Cell(signs, QVector(x)))
     out.sort(key=lambda c: c.signs)
     return out
@@ -291,7 +274,8 @@ def wall_point(
                 x[i] += c * v[i]
         if all(c == 0 for c in x):
             continue
-        assert int_dot(f, x) == 0
+        if int_dot(f, x) != 0:
+            raise ConecertError(f"kernel combination {x} leaves wall {f}")
         if all(int_dot(g, x) != 0 for t, g in enumerate(fs.forms) if t != wall):
             return QVector(x)
     return None

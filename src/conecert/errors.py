@@ -70,6 +70,10 @@ class NonRegularLambda(ConecertError):
     """A direction parameter lies on one of the identity's walls."""
 
 
+class WitnessNotInterior(ConecertError):
+    """A chamber witness fails substitution into its own sign vector."""
+
+
 class CellBudgetExceeded(ConecertError):
     """Chamber enumeration would exceed the configured form or cell budget."""
 

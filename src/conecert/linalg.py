@@ -181,7 +181,7 @@ def identity_matrix(n: int) -> QMatrix:
 
 
 def solve(mat: QMatrix, rhs: QVector) -> QVector:
-    """Solve mat @ x = rhs exactly.
+    """Solve mat @ x = rhs exactly, as invert(mat) applied to rhs.
 
     Square systems only; raises SingularMatrix when elimination finds no
     pivot for some column.
@@ -193,25 +193,11 @@ def solve(mat: QMatrix, rhs: QVector) -> QVector:
         raise DimensionMismatch("solve needs a square matrix")
     if mat.nrows != len(rhs):
         raise DimensionMismatch("rhs length differs from matrix size")
-    n = mat.nrows
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat.rows)]
-    # downward elimination with row swaps on exact nonzero pivots
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return QVector(a[i][n] for i in range(n))
+    return invert(mat).mul_vec(rhs)
 
 
 def invert(mat: QMatrix) -> QMatrix:
-    """Exact inverse via Gauss-Jordan on [mat | I]."""
+    """Exact inverse via Gauss-Jordan on [mat | I]; the one elimination routine."""
     if mat.nrows != mat.ncols:
         raise DimensionMismatch("invert needs a square matrix")
     n = mat.nrows

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .errors import NotNested
+
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
@@ -46,7 +48,8 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 def iter_between(lower: int, upper: int) -> Iterator[int]:
     """All masks S with lower <= S <= upper in the subset order, ascending."""
-    assert is_subset(lower, upper)
+    if not is_subset(lower, upper):
+        raise NotNested(f"lower {lower:b} not inside upper {upper:b}")
     for extra in iter_submasks(upper & ~lower):
         yield lower | extra
 

@@ -3,9 +3,14 @@
 Each identity relates an indicator sum (over intermediate subsets or over
 ordered partitions) to a closed form.  `verify` evaluates both sides
 independently at one exact point pair and returns a Verdict whose two sides
-must agree exactly.  `certify` fixes the direction parameters, enumerates
-every chamber of the arrangement cut out by all linear forms the identity
-reads, and evaluates the verdict at one exact interior witness per chamber.
+must agree exactly; it is also the reference route for `certify`.
+
+`certify` enumerates every chamber of the arrangement cut out by the h-side
+forms the identity reads; every witness is substituted into every form
+first.  Once the directions are fixed, each indicator is a conjunction of
+sign tests on those forms, so each side compiles to a signed sum of terms
+(coef, tests).  One evaluator reads every identity's terms off the chamber
+sign vectors, with one bitset of chambers per test and bit-sliced counters.
 
 Identity tokens (the `--identity` vocabulary) and what each one states:
 
@@ -39,6 +44,7 @@ from .chambers import MAX_CELLS, MAX_FORMS, Cell, enumerate_cells, form_set
 from .errors import HypothesisViolated, MissingParam, NonRegularLambda, NotNested
 from .geometry import EuclideanBasis, lambda_cut
 from .indicators import (
+    _pos,
     dominance,
     partition_indicators,
     sign_counts,
@@ -224,6 +230,14 @@ def _need(value, name: str):
     return value
 
 
+def _check_hypothesis(basis: EuclideanBasis, lam1, lam2) -> None:
+    if not (hypothesis_ok(basis, lam1) and hypothesis_ok(basis, lam2)):
+        raise HypothesisViolated(
+            "directions must be zero, or the basis obtuse with "
+            "their negations weakly dominant"
+        )
+
+
 def _zero(basis: EuclideanBasis) -> QVector:
     return QVector([0] * basis.rank)
 
@@ -235,6 +249,27 @@ def _tail_partition(part: OrderedPartition):
     if rest == 0:
         return first, None
     return first, OrderedPartition(rest, part.blocks[1:])
+
+
+def _starstar_sides(basis, p, r, partition, lam) -> tuple[int, int]:
+    """(64*alpha + b, its first-block rebuild); 64 exceeds any count here."""
+    pb = basis.project(p, r)
+    zero = _zero(basis)
+    pc = partition_indicators(build_frame(pb, partition), lam, zero)
+    first, tail = _tail_partition(partition)
+    q_mid = r & ~first
+    if tail is None:
+        alpha_tail = 0
+        b_tail = 0
+    else:
+        tc = partition_indicators(build_frame(basis.project(p, q_mid), tail), lam, zero)
+        alpha_tail = tc.alpha
+        b_tail = tc.b
+    b_high = sign_counts(basis.project(q_mid, r), lam).b
+    a_first = popcount(first)
+    lhs = 64 * pc.alpha + pc.b
+    rhs = 64 * (alpha_tail + a_first + 1 + b_high) + (b_high + b_tail)
+    return lhs, rhs
 
 
 def _theta_products(basis, p, r, lam1, lam2, h):
@@ -370,14 +405,9 @@ def verify(
         else:
             lam1 = lam1 if lam1 is not None else _zero(basis)
             lam2 = lam2 if lam2 is not None else _zero(basis)
-            ok1 = hypothesis_ok(basis, lam1)
-            ok2 = hypothesis_ok(basis, lam2)
-            if not (ok1 and ok2):
-                if strict:
-                    raise HypothesisViolated(
-                        "directions must be zero, or the basis obtuse with "
-                        "their negations weakly dominant"
-                    )
+            if strict:
+                _check_hypothesis(basis, lam1, lam2)
+            elif not (hypothesis_ok(basis, lam1) and hypothesis_ok(basis, lam2)):
                 note = "hypothesis_ok=False"
             params = dict(p=p, r=r, lam1=lam1, lam2=lam2, h=h)
         a_entry, b_entry = _theta_products(basis, p, r, lam1, lam2, h)
@@ -390,11 +420,8 @@ def verify(
         p = _need(p, "p")
         r = _need(r, "r")
         h = _need(h, "h")
-        if strict and not (hypothesis_ok(basis, lam1) and hypothesis_ok(basis, lam2)):
-            raise HypothesisViolated(
-                "directions must be zero, or the basis obtuse with "
-                "their negations weakly dominant"
-            )
+        if strict:
+            _check_hypothesis(basis, lam1, lam2)
         lhs = 0
         for s in iter_between(p, r):
             tau_hat = tau_pair(basis.project(p, s), h)[1]
@@ -463,22 +490,7 @@ def verify(
         r = _need(r, "r")
         partition = _need(partition, "partition")
         lam = _need(lam, "lam")
-        pb = basis.project(p, r)
-        zero = _zero(basis)
-        pc = partition_indicators(build_frame(pb, partition), lam, zero)
-        first, tail = _tail_partition(partition)
-        q_mid = r & ~first
-        if tail is None:
-            alpha_tail = 0
-            b_tail = 0
-        else:
-            tc = partition_indicators(build_frame(basis.project(p, q_mid), tail), lam, zero)
-            alpha_tail = tc.alpha
-            b_tail = tc.b
-        b_high = sign_counts(basis.project(q_mid, r), lam).b
-        a_first = popcount(first)
-        lhs = 64 * pc.alpha + pc.b
-        rhs = 64 * (alpha_tail + a_first + 1 + b_high) + (b_high + b_tail)
+        lhs, rhs = _starstar_sides(basis, p, r, partition, lam)
         params = dict(p=p, r=r, partition=partition, lam=lam)
 
     elif identity == "P41":
@@ -622,6 +634,30 @@ def collect_forms(
 # certification
 
 
+def _add(slices: list, cells: int, weight: int) -> None:
+    """Add weight at every cell of a bitset to a bit-sliced counter."""
+    slices += [0] * (weight.bit_length() - len(slices))
+    for k in range(weight.bit_length()):
+        carry, i = (cells if weight >> k & 1 else 0), k
+        while carry:
+            if i == len(slices):
+                slices.append(0)
+            slices[i], carry = slices[i] ^ carry, slices[i] & carry
+            i += 1
+
+
+def _decode(slices: list, n: int) -> list[int]:
+    """Per-cell counts of a bit-sliced counter over n cells."""
+    out = [0] * n
+    for k, sl in enumerate(slices):
+        bits_k = format(sl, "b")[::-1]  # character c is cell c's bit
+        c = bits_k.find("1")
+        while c >= 0:
+            out[c] += 1 << k
+            c = bits_k.find("1", c + 1)
+    return out
+
+
 class CertifySession:
     """Chamber-exhaustive checking of one identity at fixed subset params.
 
@@ -660,183 +696,146 @@ class CertifySession:
             self.h_forms, max_forms=max_forms, max_cells=max_cells
         )
         self._index = {f: i for i, f in enumerate(self.h_forms.forms)}
-        self._fast_tables = None
-        self._p34_static = None
-        if identity in ("P41", "BOULDER_21") and p != r:
-            self._fast_tables = self._build_fast_tables()
-        elif identity == "P34":
-            self._p34_static = self._build_p34_static()
+        # per test 2*j + w, the cells passing it as a bitset (bit c is cell c)
+        every = (1 << len(self.cells)) - 1
+        self._sets: list[int] = []
+        for col in zip(*(c.signs for c in reversed(self.cells))):
+            on = int("".join("1" if s > 0 else "0" for s in col), 2)
+            self._sets += [every ^ on, on]
 
-    # -- fast path for the partition-sum identities ------------------------
+    # -- the term compiler -------------------------------------------------
+    #
+    # A test 2*j + w asks form j of the h-side set to be positive on h (w = 1)
+    # or negative (w = 0).  A conjunction is a list of tests, so products of
+    # indicators concatenate; a channel is a list of (coef, conjunction).
 
-    def _build_fast_tables(self):
-        pb = self.basis.project(self.p, self.r)
-        frames = [
-            build_frame(pb, part) for part in enumerate_ordered_partitions(self.r & ~self.p)
-        ]
-        tables = []
-        for fr in frames:
-            elem_bits = {i: 1 << self._index[fr.elem_icov[i]] for i in fr.indices}
-            tables.append((fr, elem_bits))
-        dual_bits = None
-        if self.identity == "P41":
-            dual_bits = {i: 1 << self._index[pb.dual_icov[i]] for i in pb.indices}
-        return pb, tables, dual_bits
+    def _tests(self, pairs) -> list[int]:
+        return [self._index[cov] << 1 | int(want) for cov, want in pairs]
 
-    def _fast_records(self, lam: QVector) -> list[CellRecord]:
-        pb, tables, dual_bits = self._fast_tables
-        lamc = lam.ints
-        first_specs = []  # per frame: (sign, phi mask, phi want, psi mask, psi want) or None
-        for fr, elem_bits in tables:
-            pc_mask = 0
-            pc_want = 0
-            psi_want = 0
-            conflict_phi = False
-            conflict_psi = False
-            first = fr.partition.blocks[0]
-            b = 0
-            c = 0
-            for i in fr.indices:
-                bit = elem_bits[i]
-                d_l = int_dot(fr.dual_icov[i], lamc) > 0
-                if not d_l:
-                    b += 1
-                    if not (first >> i & 1):
-                        c += 1
-                want_phi = 0 if d_l else bit
-                want_psi = bit if (first >> i & 1) else want_phi
-                if pc_mask & bit:
-                    if (pc_want & bit) != want_phi:
-                        conflict_phi = True
-                    if (psi_want & bit) != want_psi:
-                        conflict_psi = True
-                pc_mask |= bit
-                pc_want |= want_phi
-                psi_want |= want_psi
-            size = pb.size
-            r_blocks = fr.partition.num_blocks
-            a1 = popcount(first)
-            alpha = b + size + r_blocks
-            beta = 1 + c + (size - a1) + (r_blocks - 1)
-            first_specs.append(
-                (
-                    _sign(alpha),
-                    None if conflict_phi else (pc_mask, pc_want),
-                    _sign(beta),
-                    None if conflict_psi else (pc_mask, psi_want),
-                )
-            )
+    def _tau(self, pb):
+        return self._tests((pb.elem_icov[i], True) for i in pb.indices)
 
-        if self.identity == "P41":
-            sc = sign_counts(pb, lam)
-            rhs_sign = _sign(sc.b_hat)
-            th_mask = 0
-            th_want = 0
-            conflict = False
-            for i in pb.indices:
-                bit = dual_bits[i]
-                e_l = int_dot(pb.elem_icov[i], lamc) > 0
-                want = 0 if e_l else bit
-                if th_mask & bit and (th_want & bit) != want:
-                    conflict = True
-                th_mask |= bit
-                th_want |= want
-            theta_spec = None if conflict else (th_mask, th_want)
-        else:
-            dom = dominance(pb, lam)
+    def _tau_hat(self, pb):
+        return self._tests((pb.dual_icov[i], True) for i in pb.indices)
 
-        records = []
-        for cell in self.cells:
-            cmask = 0
-            for i, s in enumerate(cell.signs):
-                if s > 0:
-                    cmask |= 1 << i
-            lhs = 0
-            psi_sum = 0
-            for s_alpha, phi_spec, s_beta, psi_spec in first_specs:
-                if phi_spec is not None and (cmask & phi_spec[0]) == phi_spec[1]:
-                    lhs += s_alpha
-                if psi_spec is not None and (cmask & psi_spec[0]) == psi_spec[1]:
-                    psi_sum += s_beta
-            if self.identity == "P41":
-                rhs = 0
-                if theta_spec is not None and (cmask & theta_spec[0]) == theta_spec[1]:
-                    rhs = rhs_sign
+    def _theta(self, pb, lam, first: int = 0):
+        """theta of a projection, phi of a frame; psi when first = its first block."""
+        return self._tests(
+            (pb.elem_icov[i], first >> i & 1 or not _pos(pb.dual_icov[i], lam)) for i in pb.indices
+        )
+
+    def _theta_hat(self, pb, lam):
+        return self._tests((pb.dual_icov[i], not _pos(pb.elem_icov[i], lam)) for i in pb.indices)
+
+    def _compile(self, lam, lam1, lam2):
+        """(channels, finish) of the identity at fixed directions.
+
+        Channels are (lhs, rhs) unless `finish` is given, which maps the
+        per-cell channel values to (lhs, rhs).  Direction-only checks run
+        here, once, with verify's errors and messages.
+        """
+        basis, p, q, r, ident = self.basis, self.p, self.q, self.r, self.identity
+        proj = basis.project
+        if ident == "L31_THETA":
+            lam = _need(lam, "lam")
+            cut = lambda_cut(proj(p, q), lam).p_lambda
+            lhs = [(_sign(popcount(s & ~cut)), self._tau(proj(p, s))) for s in iter_between(cut, q)]
+            return (lhs, [(1, self._theta(proj(p, q), lam))]), None
+        if ident == "L31_THETA_HAT":
+            lam = _need(lam, "lam")
+            cut = lambda_cut(proj(p, q), lam).q_lambda
+            lhs = [
+                (_sign(popcount(cut & ~s)), self._tau_hat(proj(s, q))) for s in iter_between(p, cut)
+            ]
+            return (lhs, [(1, self._theta_hat(proj(p, q), lam))]), None
+        if ident in ("L32", "L33_EQ2"):
+            if ident == "L33_EQ2" and self.strict:
+                _check_hypothesis(basis, lam1, lam2)
+            low, high = (self._tau, self._tau_hat) if ident == "L32" else (self._tau_hat, self._tau)
+            lhs = [
+                (_sign(popcount(s & ~p)), low(proj(p, s)) + high(proj(s, r)))
+                for s in iter_between(p, r)
+            ]
+            return (lhs, [(_delta(p, r), [])]), None
+        if ident in ("L33_EQ1", "C35", "P34"):
+            if ident == "C35":
+                lam1 = lam2 = _need(lam, "lam")
+            elif ident == "P34":
+                lam1, lam2 = _need(lam1, "lam1"), _need(lam2, "lam2")
             else:
-                rhs = dom + psi_sum
-            records.append(CellRecord(cell.signs, cell.witness, lhs, rhs))
-        return records
+                lam1 = lam1 if lam1 is not None else _zero(basis)
+                lam2 = lam2 if lam2 is not None else _zero(basis)
+                if self.strict:
+                    _check_hypothesis(basis, lam1, lam2)
+            a_terms, b_terms = [], []  # entry (P, R) of both signed products
+            for s in iter_between(p, r):
+                low, high = proj(p, s), proj(s, r)
+                sl1, sh1 = (_sign(sign_counts(x, lam1).eta) for x in (low, high))
+                sl2, sh2 = (_sign(sign_counts(x, lam2).eta_hat) for x in (low, high))
+                a_terms.append((sl1 * sh2, self._theta(low, lam1) + self._theta_hat(high, lam2)))
+                b_terms.append((sl2 * sh1, self._theta_hat(low, lam2) + self._theta(high, lam1)))
+            if ident == "P34":
+                t1 = lambda_cut(proj(p, r), lam1).p_lambda
+                t2 = lambda_cut(proj(p, r), lam2).q_lambda
+                return (b_terms, [(_sign(popcount(t1 & ~p)) * _delta(t1, t2), [])]), None
+            d = _delta(p, r)
+            return (a_terms, b_terms), lambda a, b: (abs(a - d) + abs(b - d), 0)
+        if ident == "C36":
+            lam = _need(lam, "lam")
+            lhs = [
+                (
+                    _sign(sign_counts(proj(p, s), lam).b_hat),
+                    self._theta_hat(proj(p, s), lam) + self._tau(proj(s, r)),
+                )
+                for s in iter_between(p, r)
+            ]
+            return (lhs, [(dominance(proj(p, r), lam), [])]), None
+        if ident == "STAR_RECURSION":
+            lam = _need(lam, "lam")
+            frame = build_frame(proj(p, r), self.partition)
+            first, tail = _tail_partition(self.partition)
+            high = proj(r & ~first, r)
+            phi_tail = []
+            if tail is not None:
+                phi_tail = self._theta(build_frame(proj(p, r & ~first), tail), lam)
+            lhs = [(2, self._theta(frame, lam)), (1, self._theta(frame, lam, first))]
+            rhs = [(2, self._theta(high, lam) + phi_tail), (1, self._tau(high) + phi_tail)]
+            return (lhs, rhs), None
+        if ident == "STARSTAR_SIGNS":
+            lhs, rhs = _starstar_sides(basis, p, r, self.partition, _need(lam, "lam"))
+            return ([(lhs, [])], [(rhs, [])]), None
+        # P41 and BOULDER_21: alternating phi (and psi) sums over ordered partitions
+        lam = _need(lam, "lam")
+        pb = proj(p, r)
+        phi = [(1, [])] if p == r else []
+        psi = [(dominance(pb, lam), [])]
+        for part in enumerate_ordered_partitions(r & ~p) if p != r else ():
+            frame = build_frame(pb, part)
+            pc = partition_indicators(frame, lam, _zero(basis))  # sign counts only
+            phi.append((_sign(pc.alpha), self._theta(frame, lam)))
+            psi.append((_sign(pc.beta), self._theta(frame, lam, part.blocks[0])))
+        if ident == "P41":
+            psi = [(_sign(sign_counts(pb, lam).b_hat), self._theta_hat(pb, lam))]
+        return (phi, psi), None
 
-    # -- fast path for the product-vanishing identity ----------------------
+    # -- the bitset evaluator ------------------------------------------------
 
-    def _build_p34_static(self):
-        """Per middle subset: both interval projections plus form-bit maps."""
-        terms = []
-        for q in iter_between(self.p, self.r):
-            low = self.basis.project(self.p, q)
-            high = self.basis.project(q, self.r)
-            low_bits = {i: 1 << self._index[low.dual_icov[i]] for i in low.indices}
-            high_bits = {i: 1 << self._index[high.elem_icov[i]] for i in high.indices}
-            terms.append((low, high, low_bits, high_bits))
-        return terms
+    def _evaluate(self, channel) -> list[int]:
+        """Per-cell value of a channel, summed in bit-sliced counters.
 
-    def _p34_records(self, lam1: QVector, lam2: QVector) -> list[CellRecord]:
-        l1 = lam1.ints
-        l2 = lam2.ints
-        specs = []  # per middle subset: (sign, hat mask, hat want, mask, want)
-        for low, high, low_bits, high_bits in self._p34_static:
-            hat_mask = 0
-            hat_want = 0
-            b_hat = 0
-            ok_hat = True
-            for i in low.indices:
-                bit = low_bits[i]
-                e_l = int_dot(low.elem_icov[i], l2) > 0
-                if not e_l:
-                    b_hat += 1
-                want = 0 if e_l else bit
-                if hat_mask & bit and (hat_want & bit) != want:
-                    ok_hat = False
-                hat_mask |= bit
-                hat_want |= want
-            th_mask = 0
-            th_want = 0
-            b = 0
-            ok_th = True
-            for i in high.indices:
-                bit = high_bits[i]
-                d_l = int_dot(high.dual_icov[i], l1) > 0
-                if not d_l:
-                    b += 1
-                want = 0 if d_l else bit
-                if th_mask & bit and (th_want & bit) != want:
-                    ok_th = False
-                th_mask |= bit
-                th_want |= want
-            if not (ok_hat and ok_th):
-                continue
-            sgn = _sign(popcount(low.lower) + b_hat + popcount(high.lower) + b)
-            specs.append((sgn, hat_mask, hat_want, th_mask, th_want))
-
-        pb = self.basis.project(self.p, self.r)
-        t1 = lambda_cut(pb, lam1).p_lambda
-        t2 = lambda_cut(pb, lam2).q_lambda
-        rhs = _sign(popcount(t1 & ~self.p)) * _delta(t1, t2)
-
-        records = []
-        for cell in self.cells:
-            cmask = 0
-            for i, s in enumerate(cell.signs):
-                if s > 0:
-                    cmask |= 1 << i
-            lhs = 0
-            for sgn, m1, w1, m2, w2 in specs:
-                if (cmask & m1) == w1 and (cmask & m2) == w2:
-                    lhs += sgn
-            records.append(CellRecord(cell.signs, cell.witness, lhs, rhs))
-        return records
-
-    # -- generic path ------------------------------------------------------
+        Positive and negative coefficients go to two unsigned counters whose
+        slice k holds bit k of every cell's count (Knuth, TAOCP 4A, 7.1.3).
+        """
+        every = (1 << len(self.cells)) - 1
+        counters: tuple[list, list] = ([], [])
+        for coef, tests in channel:
+            cells = every
+            for t in tests:
+                cells &= self._sets[t]
+            if cells:
+                _add(counters[coef < 0], cells, abs(coef))
+        plus, minus = (_decode(c, len(self.cells)) for c in counters)
+        return [a - b for a, b in zip(plus, minus)]
 
     def _check_regular(self, lam: Optional[QVector], name: str) -> None:
         if lam is None:
@@ -855,27 +854,11 @@ class CertifySession:
         self._check_regular(lam1, "lam1")
         self._check_regular(lam2, "lam2")
 
-        if self._fast_tables is not None:
-            records = self._fast_records(_need(lam, "lam"))
-        elif self._p34_static is not None:
-            records = self._p34_records(_need(lam1, "lam1"), _need(lam2, "lam2"))
-        else:
-            records = []
-            for cell in self.cells:
-                v = verify(
-                    self.basis,
-                    self.identity,
-                    p=self.p,
-                    q=self.q,
-                    r=self.r,
-                    partition=self.partition,
-                    lam=lam,
-                    lam1=lam1,
-                    lam2=lam2,
-                    h=cell.witness,
-                    strict=self.strict,
-                )
-                records.append(CellRecord(cell.signs, cell.witness, v.lhs, v.rhs))
+        channels, finish = self._compile(lam, lam1, lam2)
+        values = zip(*(self._evaluate(ch) for ch in channels))
+        if finish is not None:
+            values = (finish(*v) for v in values)
+        records = [CellRecord(c.signs, c.witness, *v) for c, v in zip(self.cells, values)]
         params = dict(p=self.p, q=self.q, r=self.r, partition=self.partition)
         if lam is not None:
             params["lam"] = lam

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conecert import chambers
 from conecert.chambers import (
     enumerate_cells,
     form_set,
@@ -12,7 +13,8 @@ from conecert.chambers import (
     wall_point,
 )
 from conecert.corpus import named_basis
-from conecert.errors import CellBudgetExceeded, SamplingExhausted
+from conecert.cli import main
+from conecert.errors import CellBudgetExceeded, SamplingExhausted, WitnessNotInterior
 from conecert.linalg import QVector, int_dot
 from conecert.verifiers import collect_forms
 
@@ -37,13 +39,13 @@ def test_form_set_rejects_zero_and_bad_length():
 
 
 def test_single_form_gives_two_cells():
-    cells = enumerate_cells(form_set(1, [(2,)]), validate=True)
+    cells = enumerate_cells(form_set(1, [(2,)]))
     assert len(cells) == 2
     assert sorted(c.signs for c in cells) == [(-1,), (1,)]
 
 
 def test_two_independent_forms_give_quadrants():
-    cells = enumerate_cells(form_set(2, [(1, 0), (0, 1)]), validate=True)
+    cells = enumerate_cells(form_set(2, [(1, 0), (0, 1)]))
     assert len(cells) == 4
     assert {c.signs for c in cells} == set(itertools.product((-1, 1), repeat=2))
 
@@ -56,7 +58,7 @@ def test_empty_form_set_single_cell():
 
 def test_rank_deficient_forms():
     # two forms spanning a plane inside dimension three
-    cells = enumerate_cells(form_set(3, [(1, 0, 0), (0, 1, 0)]), validate=True)
+    cells = enumerate_cells(form_set(3, [(1, 0, 0), (0, 1, 0)]))
     assert len(cells) == 4
 
 
@@ -80,7 +82,7 @@ def test_cells_match_grid_scan_rank2(name):
     """Every enumerated sign vector appears on a fine grid and vice versa."""
     basis = named_basis(name)
     fs, _ = collect_forms(basis, "BOULDER_21")
-    cells = enumerate_cells(fs, validate=True)
+    cells = enumerate_cells(fs)
     got = {c.signs for c in cells}
     want = grid_sign_vectors(fs.forms)
     assert got == want
@@ -173,3 +175,22 @@ def test_wall_point_impossible_returns_none():
 def test_wall_point_rank1_none():
     fs = form_set(1, [(1,)])
     assert wall_point(fs, 0, seed=1) is None
+
+
+def _antipodal_witnesses(monkeypatch):
+    real = chambers._witness
+    monkeypatch.setattr(
+        chambers, "_witness", lambda *args: tuple(-x for x in real(*args))
+    )
+
+
+def test_corrupted_witness_is_refused(monkeypatch):
+    _antipodal_witnesses(monkeypatch)
+    with pytest.raises(WitnessNotInterior):
+        enumerate_cells(form_set(2, [(1, 0), (0, 1)]))
+
+
+def test_corrupted_witness_exits_two(monkeypatch, capsys):
+    _antipodal_witnesses(monkeypatch)
+    assert main(["certify", "--identity", "BOULDER_21", "--basis", "A2"]) == 2
+    assert "not strictly inside" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Bitmask subset helpers: iteration orders, counts, containment."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert.errors import NotNested
 from conecert.subsets import (
     bits,
     full_mask,
@@ -75,3 +77,8 @@ def test_between_matches_definition(lower, upper):
     want = [s | lower for s in iter_submasks(upper & ~lower)]
     assert sorted(got) == sorted(want)
     assert len(set(got)) == len(got)
+
+
+def test_iter_between_rejects_non_nested():
+    with pytest.raises(NotNested):
+        list(iter_between(0b10, 0b01))

@@ -1,8 +1,11 @@
 """The identity layer: pointwise verdicts, matrices, and chamber certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecert.chambers import sample_regular
+from conecert.cli import _hypothesis_lams, _instances
 from conecert.corpus import named_basis, random_basis
 from conecert.errors import (
     HypothesisViolated,
@@ -14,6 +17,7 @@ from conecert.geometry import make_basis
 from conecert.linalg import QVector
 from conecert.partitions import OrderedPartition, enumerate_ordered_partitions
 from conecert.subsets import full_mask, iter_nested_pairs, popcount
+from conecert import verifiers
 from conecert.verifiers import (
     IDENTITIES,
     CertifySession,
@@ -324,18 +328,24 @@ def test_certificate_rejects_wall_direction(a2):
         sess.run(lam=qv(1, 0))  # on the wall of the first dual form
 
 
-def _routes_agree(basis, identity, lam_keys, count, **inst):
-    """Fast certificate route against a direct verify at every witness."""
-    sess = CertifySession(basis, identity, **inst)
-    assert sess._fast_tables is not None or sess._p34_static is not None
+def _routes_agree(basis, identity, lam_keys, count, strict=True, **inst):
+    """The certificate route against a direct verify at every witness."""
+    sess = CertifySession(basis, identity, strict=strict, **inst)
     lams = sample_regular(sess.lam_forms, count * len(lam_keys), seed=repr(("fg", inst)))
     for k in range(count):
         lam_kw = dict(zip(lam_keys, lams[k * len(lam_keys):]))
-        fast = sess.run(**lam_kw)
-        slow = [verify(basis, identity, h=c.witness, **inst, **lam_kw) for c in sess.cells]
-        assert [(c.lhs, c.rhs) for c in fast.cells] == [(v.lhs, v.rhs) for v in slow], (
+        rep = sess.run(**lam_kw)
+        slow = [
+            verify(basis, identity, h=c.witness, strict=strict, **inst, **lam_kw)
+            for c in sess.cells
+        ]
+        assert [(c.lhs, c.rhs) for c in rep.cells] == [(v.lhs, v.rhs) for v in slow], (
             basis.name, identity, inst, k
         )
+
+
+# direction parameters per identity, as the CLI sweeps them
+LAM_KEYS = {"L32": (), "L33_EQ2": (), "L33_EQ1": ("lam1", "lam2"), "P34": ("lam1", "lam2")}
 
 
 def test_fast_and_generic_paths_agree(a2, b2, a3):
@@ -344,8 +354,94 @@ def test_fast_and_generic_paths_agree(a2, b2, a3):
     for basis in (a2, a3):
         _routes_agree(basis, "BOULDER_21", ("lam",), 4, p=0, r=full_mask(basis.rank))
     for basis in (a2, b2, a3):
-        for p, r in iter_nested_pairs(basis.rank):
-            _routes_agree(basis, "P34", ("lam1", "lam2"), 2, p=p, r=r)
+        for identity in IDENTITIES:
+            keys = LAM_KEYS.get(identity, ("lam",))
+            # L33_EQ1 at sampled directions breaks its hypothesis: exploratory
+            strict = identity != "L33_EQ1"
+            for inst in _instances(basis, identity, nested_only=True):
+                _routes_agree(basis, identity, keys, 2 if keys else 1, strict=strict, **inst)
+
+
+def test_two_sided_inverse_certificates_under_hypothesis(a2, b2, a3):
+    """Strict L33_EQ1 at zero directions and at the CLI's hypothesis samples."""
+    for basis in (a2, b2, a3):
+        for inst in _instances(basis, "L33_EQ1", nested_only=True):
+            sess = CertifySession(basis, "L33_EQ1", **inst)
+            lams = _hypothesis_lams(basis, sess.lam_forms, 2, repr(inst), 9)
+            for lam_kw in (dict(), dict(lam1=lams[0], lam2=lams[1])):
+                rep = sess.run(**lam_kw)
+                slow = [verify(basis, "L33_EQ1", h=c.witness, **inst, **lam_kw) for c in sess.cells]
+                assert [(c.lhs, c.rhs) for c in rep.cells] == [(v.lhs, v.rhs) for v in slow]
+                assert rep.ok, (basis.name, inst, lam_kw)
+
+
+@pytest.mark.parametrize("identity", ["L33_EQ1", "L33_EQ2"])
+def test_certify_strict_hypothesis_violation(identity):
+    sharp = make_basis([[3, 1], [1, 3]])
+    lam1, lam2 = qv(-2, -3), qv(1, 4)
+    sess = CertifySession(sharp, identity, p=0, r=3)
+    with pytest.raises(HypothesisViolated, match="negations weakly dominant"):
+        sess.run(lam1=lam1, lam2=lam2)
+    with pytest.raises(HypothesisViolated, match="negations weakly dominant"):
+        verify(sharp, identity, p=0, r=3, lam1=lam1, lam2=lam2, h=sess.cells[0].witness)
+    explored = CertifySession(sharp, identity, p=0, r=3, strict=False).run(lam1=lam1, lam2=lam2)
+    assert explored.num_cells == len(sess.cells)
+
+
+def test_certify_missing_direction_rejected(a2):
+    for identity, inst in (("P34", dict(p=0, r=3)), ("C36", dict(p=0, r=3)), ("BOULDER_21", {})):
+        sess = CertifySession(a2, identity, **inst)
+        with pytest.raises(MissingParam):
+            sess.run(lam1=qv(1, 1) if identity == "P34" else None)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(["general", "obtuse"]),
+    identity=st.sampled_from(IDENTITIES),
+    data=st.data(),
+)
+def test_session_matches_verify_on_random_bases(seed, kind, identity, data):
+    """Session cells equal a direct verify at each witness, rank-3 random bases."""
+    basis = random_basis(3, seed, kind)
+    inst = data.draw(st.sampled_from(_instances(basis, identity, nested_only=True)))
+    keys = LAM_KEYS.get(identity, ("lam",))
+    sess = CertifySession(basis, identity, strict=False, **inst)
+    lam_kw = dict(zip(keys, sample_regular(sess.lam_forms, len(keys), seed=seed)))
+    rep = sess.run(**lam_kw)
+    slow = [
+        verify(basis, identity, h=c.witness, strict=False, **inst, **lam_kw) for c in sess.cells
+    ]
+    assert [(c.signs, c.lhs, c.rhs) for c in rep.cells] == [
+        (c.signs, v.lhs, v.rhs) for c, v in zip(sess.cells, slow)
+    ]
+
+
+def test_session_run_calls_no_verify(a3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify must not fall back to verify")
+
+    sessions = [CertifySession(a3, ident, p=0b001, r=0b111) for ident in ("C36", "L33_EQ1")]
+    lam = sample_regular(sessions[0].lam_forms, 1, seed="no-verify")[0]
+    monkeypatch.setattr(verifiers, "verify", refuse)
+    assert sessions[0].run(lam=lam).ok
+    assert sessions[1].run().ok
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(1, 70), st.data())
+def test_bit_sliced_counter_matches_direct_sums(n, data):
+    terms = data.draw(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(0, (1 << n) - 1)), max_size=12)
+    )
+    counters = ([], [])
+    for coef, cells in terms:
+        if cells:
+            verifiers._add(counters[coef < 0], cells, abs(coef))
+    plus, minus = (verifiers._decode(c, n) for c in counters)
+    want = [sum(coef for coef, cells in terms if cells >> c & 1) for c in range(n)]
+    assert [a - b for a, b in zip(plus, minus)] == want
 
 
 def test_product_vanishing_certificates(a2):
