@@ -62,7 +62,7 @@ from .indicators import (
     tau_pair,
     theta_pair,
 )
-from .linalg import QMatrix, QVector, Rat, int_dot, invert, primitive_tuple, solve
+from .linalg import QMatrix, QVector, int_dot, invert, primitive_tuple, solve
 from .partitions import (
     OrderedPartition,
     PartitionFrame,

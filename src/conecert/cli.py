@@ -11,6 +11,7 @@ hypothesis violations abort or are merely recorded.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Optional
@@ -34,13 +35,9 @@ from .reports import (
     write_text,
 )
 from .subsets import bits, full_mask, is_subset, iter_nested_pairs
-from .verifiers import IDENTITIES, CertifySession, collect_forms, obtuse, verify
+from .verifiers import IDENTITIES, SIGNATURES, CertifySession, collect_forms, obtuse, verify
 
 MAX_EXHAUSTIVE_RANK = 6
-
-_TWO_LAM = ("L33_EQ1", "P34")
-_NO_LAM = ("L32", "L33_EQ2")
-_MATRIX_IDS = ("L32", "L33_EQ1", "L33_EQ2", "P34", "C35", "C36")
 
 
 def _parse_mode(mode: str):
@@ -68,28 +65,26 @@ def _resolve(args) -> EuclideanBasis:
 
 
 def _instances(basis: EuclideanBasis, identity: str, nested_only: bool) -> list[dict]:
-    """Subset/partition parameter grid the CLI sweeps for one identity."""
+    """Subset/partition parameter grid the CLI sweeps for one identity.
+
+    Defaulted subsets give the one default instance; matrix entries sweep
+    every pair unless `nested_only`; partitions need a nonempty difference.
+    """
+    sig = SIGNATURES[identity]
     n = basis.rank
-    full = full_mask(n)
-    if identity in ("L31_THETA", "L31_THETA_HAT"):
-        return [dict(p=p, q=q) for p, q in iter_nested_pairs(n)]
-    if identity in _MATRIX_IDS:
-        if nested_only:
-            return [dict(p=p, r=r) for p, r in iter_nested_pairs(n)]
-        return [dict(p=p, r=r) for p in range(1 << n) for r in range(1 << n)]
-    if identity in ("STAR_RECURSION", "STARSTAR_SIGNS"):
-        out = []
-        for p, r in iter_nested_pairs(n):
-            if p == r:
-                continue
-            for part in enumerate_ordered_partitions(r & ~p):
-                out.append(dict(p=p, r=r, partition=part))
-        return out
-    if identity == "P41":
-        return [dict(p=p, r=r) for p, r in iter_nested_pairs(n)]
-    if identity == "BOULDER_21":
-        return [dict(p=0, r=full)]
-    raise InvalidRank(f"unknown identity {identity!r}")
+    if "p" in sig.defaults:
+        return [sig.resolve(basis, {}, sig.subsets)]
+    if "partition" in sig.subsets:
+        return [
+            dict(p=p, r=r, partition=part)
+            for p, r in iter_nested_pairs(n)
+            if p != r
+            for part in enumerate_ordered_partitions(r & ~p)
+        ]
+    low, high = sig.subsets
+    if sig.matrix and not nested_only:
+        return [{low: p, high: r} for p in range(1 << n) for r in range(1 << n)]
+    return [{low: p, high: r} for p, r in iter_nested_pairs(n)]
 
 
 def _inst_key(inst: dict) -> str:
@@ -127,21 +122,21 @@ def _hypothesis_lams(basis, lam_fs, count, seed, bound):
 
 
 def _lam_streams(basis, identity, lam_fs, args, inst_key, strict):
-    """Per-instance direction samples: list of dicts of verify kwargs."""
-    count = args.lambda_samples
-    if identity in _NO_LAM:
-        return [dict()]
-    if identity == "L33_EQ1" and strict:
-        lams1 = _hypothesis_lams(basis, lam_fs, count, f"{args.seed}|l1|{inst_key}", args.bound)
-        lams2 = _hypothesis_lams(basis, lam_fs, count, f"{args.seed}|l2|{inst_key}", args.bound)
-        k = min(len(lams1), len(lams2))
-        return [dict(lam1=lams1[i], lam2=lams2[i]) for i in range(k)]
-    if identity in _TWO_LAM:
-        lams1 = sample_regular(lam_fs, count, f"{args.seed}|l1|{inst_key}", args.bound)
-        lams2 = sample_regular(lam_fs, count, f"{args.seed}|l2|{inst_key}", args.bound)
-        return [dict(lam1=a, lam2=b) for a, b in zip(lams1, lams2)]
-    lams = sample_regular(lam_fs, count, f"{args.seed}|l|{inst_key}", args.bound)
-    return [dict(lam=l) for l in lams]
+    """Per-instance direction samples: list of dicts of verify kwargs.
+
+    Strict runs of an identity whose directions default to zero sample its
+    hypothesis cone instead of the whole space.
+    """
+    sig = SIGNATURES[identity]
+    names = sig.lams
+    sample = sample_regular
+    if strict and any(name in sig.defaults for name in names):
+        sample = functools.partial(_hypothesis_lams, basis)
+    streams = [  # seed tags l, l1, l2 for lam, lam1, lam2
+        sample(lam_fs, args.lambda_samples, f"{args.seed}|l{name[3:]}|{inst_key}", args.bound)
+        for name in names
+    ]
+    return [dict(zip(names, lams)) for lams in zip(*streams)] if names else [dict()]
 
 
 def _emit(args, payload, text_lines) -> None:
@@ -155,14 +150,15 @@ def cmd_verify(args) -> int:
     basis = _resolve(args)
     _, strict = _parse_mode(args.mode)
     identity = args.identity
+    sig = SIGNATURES[identity]
     records = []
     for inst in _instances(basis, identity, nested_only=False):
-        if identity in _MATRIX_IDS and not is_subset(inst["p"], inst["r"]):
+        if sig.matrix and not is_subset(inst["p"], inst["r"]):
             records.append(verdict_record(basis, verify(basis, identity, **inst)))
             continue
         h_fs, lam_fs = collect_forms(basis, identity, **inst)
         key = _inst_key(inst)
-        if identity == "STARSTAR_SIGNS":
+        if not sig.h:
             h_list: list[Optional[QVector]] = [None]
         else:
             h_list = sample_regular(h_fs, args.samples, f"{args.seed}|h|{key}", args.bound)
@@ -249,13 +245,11 @@ def cmd_chambers(args) -> int:
             f"chamber enumeration is budgeted for rank <= {MAX_EXHAUSTIVE_RANK}"
         )
     identity = args.identity or "BOULDER_21"
-    if identity in ("STAR_RECURSION", "STARSTAR_SIGNS"):
+    subsets = SIGNATURES[identity].subsets
+    if "partition" in subsets:
         raise InvalidRank("chambers needs a partition-free identity")
-    full = full_mask(basis.rank)
-    inst: dict = dict(p=0, r=full)
-    if identity in ("L31_THETA", "L31_THETA_HAT"):
-        inst = dict(p=0, q=full)
-    session = CertifySession(basis, identity, **inst)
+    low, high = subsets
+    session = CertifySession(basis, identity, **{low: 0, high: full_mask(basis.rank)})
     payload = {
         "identity": identity,
         "basis": basis.name,

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, SingularMatrix
-
-Rat = Fraction
-
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -42,7 +40,7 @@ def primitive_tuple(coeffs) -> tuple[int, ...]:
 
 def int_dot(a: Sequence, b: Sequence):
     """Plain dot product for covector-against-point evaluation."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 class QVector:
@@ -111,10 +109,6 @@ class QVector:
         return "QVector(%s)" % ", ".join(str(c) for c in self.coords)
 
 
-def zero_vector(n: int) -> QVector:
-    return QVector([0] * n)
-
-
 def unit_vector(n: int, i: int) -> QVector:
     return QVector([1 if j == i else 0 for j in range(n)])
 
@@ -140,14 +134,8 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def row(self, i: int) -> QVector:
-        return QVector(self.rows[i])
-
     def col(self, j: int) -> QVector:
         return QVector(r[j] for r in self.rows)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.rows)) if self.rows else QMatrix([])
 
     def is_symmetric(self) -> bool:
         if self.nrows != self.ncols:
@@ -163,21 +151,8 @@ class QMatrix:
             raise DimensionMismatch(f"matrix ncols {self.ncols} vs vector {len(v)}")
         return QVector(sum((r[j] * v[j] for j in range(self.ncols)), Fraction(0)) for r in self.rows)
 
-    def mul_mat(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        cols = other.transpose().rows
-        return QMatrix(
-            [sum((r[k] * c[k] for k in range(self.ncols)), Fraction(0)) for c in cols]
-            for r in self.rows
-        )
-
     def __repr__(self) -> str:
         return "QMatrix(%r)" % (self.rows,)
-
-
-def identity_matrix(n: int) -> QMatrix:
-    return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def solve(mat: QMatrix, rhs: QVector) -> QVector:

@@ -1,9 +1,15 @@
 """The identity catalog: pointwise verification and chamber certification.
 
 Each identity relates an indicator sum (over intermediate subsets or over
-ordered partitions) to a closed form.  `verify` evaluates both sides
-independently at one exact point pair and returns a Verdict whose two sides
-must agree exactly; it is also the reference route for `certify`.
+ordered partitions) to a closed form.  `SIGNATURES` declares, once per
+identity, the parameters it takes: a nested pair, perhaps a partition, zero
+to two directions and usually a point h, with their defaults.  `verify`,
+`collect_forms`, `CertifySession` and the CLI's sweeps all read it through
+`Signature.resolve`; `IDENTITIES` is its key order.
+
+`verify` evaluates both sides independently at one exact point pair and
+returns a Verdict whose two sides must agree exactly; it is also the
+reference route for `certify`.
 
 `certify` enumerates every chamber of the arrangement cut out by the h-side
 forms the identity reads; every witness is substituted into every form
@@ -55,20 +61,67 @@ from .linalg import QVector, int_dot
 from .partitions import OrderedPartition, build_frame, enumerate_ordered_partitions
 from .subsets import full_mask, is_subset, iter_between, iter_submasks, popcount
 
-IDENTITIES = (
-    "L31_THETA",
-    "L31_THETA_HAT",
-    "L32",
-    "L33_EQ1",
-    "L33_EQ2",
-    "P34",
-    "C35",
-    "C36",
-    "STAR_RECURSION",
-    "STARSTAR_SIGNS",
-    "P41",
-    "BOULDER_21",
-)
+
+@dataclass(frozen=True)
+class Signature:
+    """The parameters one identity takes, in the order they are checked.
+
+    `subsets` is ("p", "q"), ("p", "r") or ("p", "r", "partition"); a
+    `matrix` identity states entry (P, R) of a subset matrix, zero off nested
+    pairs.  `lams` names the directions and `h` says whether a point is read.
+    A name in `defaults` may be left out: p is then 0, r the full set, and a
+    direction zero.
+    """
+
+    subsets: tuple[str, ...]
+    lams: tuple[str, ...] = ("lam",)
+    h: bool = True
+    matrix: bool = False
+    defaults: tuple[str, ...] = ()
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.subsets + self.lams + (("h",) if self.h else ())
+
+    def resolve(self, basis: EuclideanBasis, given: dict, names) -> dict:
+        """`given` with each of `names` set, defaults filled in.
+
+        Raises MissingParam for the first name neither given nor defaulted.
+        """
+        out = dict(given)
+        for name in names:
+            if out.get(name) is None and name in self.defaults:
+                full = full_mask(basis.rank)
+                out[name] = _zero(basis) if name.startswith("lam") else 0 if name == "p" else full
+            if out.get(name) is None:
+                raise MissingParam(f"identity requires parameter {name!r}")
+        return out
+
+
+_PQ, _PR, _L12 = ("p", "q"), ("p", "r"), ("lam1", "lam2")
+
+SIGNATURES = {
+    "L31_THETA": Signature(_PQ),
+    "L31_THETA_HAT": Signature(_PQ),
+    "L32": Signature(_PR, (), matrix=True),
+    "L33_EQ1": Signature(_PR, _L12, matrix=True, defaults=_L12),
+    "L33_EQ2": Signature(_PR, (), matrix=True),
+    "P34": Signature(_PR, _L12, matrix=True),
+    "C35": Signature(_PR, matrix=True),
+    "C36": Signature(_PR, matrix=True),
+    "STAR_RECURSION": Signature(_PR + ("partition",)),
+    "STARSTAR_SIGNS": Signature(_PR + ("partition",), h=False),
+    "P41": Signature(_PR),
+    "BOULDER_21": Signature(_PR, defaults=_PR),
+}
+
+IDENTITIES = tuple(SIGNATURES)
+
+
+def _signature(identity: str) -> Signature:
+    if identity not in SIGNATURES:
+        raise MissingParam(f"unknown identity {identity!r}")
+    return SIGNATURES[identity]
 
 
 def _sign(n: int) -> int:
@@ -224,12 +277,6 @@ def hypothesis_ok(basis: EuclideanBasis, lam: Optional[QVector]) -> bool:
     return all(int_dot(full.elem_icov[i], lam.ints) <= 0 for i in full.indices)
 
 
-def _need(value, name: str):
-    if value is None:
-        raise MissingParam(f"identity requires parameter {name!r}")
-    return value
-
-
 def _check_hypothesis(basis: EuclideanBasis, lam1, lam2) -> None:
     if not (hypothesis_ok(basis, lam1) and hypothesis_ok(basis, lam2)):
         raise HypothesisViolated(
@@ -292,28 +339,16 @@ def _theta_products(basis, p, r, lam1, lam2, h):
     return a_entry, b_entry
 
 
-def _phi_sum(basis, p, r, lam, h) -> int:
-    """Alternating phi sum over every ordered partition of the (p, r) system."""
-    if p == r:
-        return 1
+def _partition_sums(basis, p, r, lam, h) -> tuple[int, int]:
+    """(alternating phi sum, dominance plus alternating psi sum) over every
+    ordered partition of the (p, r) system; p == r has phi sum 1, no psi terms."""
     pb = basis.project(p, r)
-    total = 0
-    for part in enumerate_ordered_partitions(r & ~p):
+    phi, psi = int(p == r), dominance(pb, lam)
+    for part in enumerate_ordered_partitions(r & ~p) if p != r else ():
         pc = partition_indicators(build_frame(pb, part), lam, h)
-        total += _sign(pc.alpha) * pc.phi
-    return total
-
-
-def _psi_side(basis, p, r, lam, h) -> int:
-    """Dominance plus the alternating psi sum (zero partitions when p == r)."""
-    pb = basis.project(p, r)
-    total = dominance(pb, lam)
-    if p == r:
-        return total
-    for part in enumerate_ordered_partitions(r & ~p):
-        pc = partition_indicators(build_frame(pb, part), lam, h)
-        total += _sign(pc.beta) * pc.psi
-    return total
+        phi += _sign(pc.alpha) * pc.phi
+        psi += _sign(pc.beta) * pc.psi
+    return phi, psi
 
 
 def verify(
@@ -337,79 +372,53 @@ def verify(
     exactly.  For the two-clause identities both clauses are packed into a
     single integer pair, documented below per identity.
     """
-    if identity not in IDENTITIES:
-        raise MissingParam(f"unknown identity {identity!r}")
-    full = full_mask(basis.rank)
-    note = ""
-
-    if identity in ("L32", "L33_EQ1", "L33_EQ2", "P34", "C35", "C36"):
+    sig = _signature(identity)
+    given = dict(p=p, q=q, r=r, partition=partition, lam=lam, lam1=lam1, lam2=lam2, h=h)
+    if sig.matrix:
         # matrix-entry statements: entries at non-nested pairs are zero on
         # both sides, so the interval sum is empty and the check is trivial
-        pp = _need(p, "p")
-        rr = _need(r, "r")
-        if not is_subset(pp, rr):
-            params = dict(p=pp, r=rr)
-            for key, val in (("lam", lam), ("lam1", lam1), ("lam2", lam2), ("h", h)):
-                if val is not None:
-                    params[key] = val
+        sig.resolve(basis, given, ("p", "r"))
+        if not is_subset(p, r):
+            params = {k: v for k, v in given.items() if v is not None}
             return Verdict(identity, 0, 0, params, note="non-nested pair")
+    given = sig.resolve(basis, given, sig.names)
+    params = {k: given[k] for k in sig.names}
+    p, q, r, partition, lam, lam1, lam2, h = given.values()
+    note = ""
 
     if identity == "L31_THETA":
-        p = _need(p, "p")
-        q = _need(q, "q")
-        lam = _need(lam, "lam")
-        h = _need(h, "h")
         pb = basis.project(p, q)
         cut = lambda_cut(pb, lam)
         lhs = 0
         for s in iter_between(cut.p_lambda, q):
             lhs += _sign(popcount(s & ~cut.p_lambda)) * tau_pair(basis.project(p, s), h)[0]
         rhs = theta_pair(pb, lam, h)[0]
-        params = dict(p=p, q=q, lam=lam, h=h)
 
     elif identity == "L31_THETA_HAT":
-        p = _need(p, "p")
-        q = _need(q, "q")
-        lam = _need(lam, "lam")
-        h = _need(h, "h")
         pb = basis.project(p, q)
         cut = lambda_cut(pb, lam)
         lhs = 0
         for s in iter_between(p, cut.q_lambda):
             lhs += _sign(popcount(cut.q_lambda & ~s)) * tau_pair(basis.project(s, q), h)[1]
         rhs = theta_pair(pb, lam, h)[1]
-        params = dict(p=p, q=q, lam=lam, h=h)
 
     elif identity == "L32":
-        p = _need(p, "p")
-        r = _need(r, "r")
-        h = _need(h, "h")
         lhs = 0
         for s in iter_between(p, r):
             tau = tau_pair(basis.project(p, s), h)[0]
             tau_hat = tau_pair(basis.project(s, r), h)[1]
             lhs += _sign(popcount(s & ~p)) * tau * tau_hat
         rhs = _delta(p, r)
-        params = dict(p=p, r=r, h=h)
 
     elif identity in ("L33_EQ1", "C35"):
         # lhs packs both product orders as their total deviation from the
         # delta entry; rhs is 0.
-        p = _need(p, "p")
-        r = _need(r, "r")
-        h = _need(h, "h")
         if identity == "C35":
-            lam = _need(lam, "lam")
             lam1 = lam2 = lam
-            params = dict(p=p, r=r, lam=lam, h=h)
-        else:
-            lam1 = lam1 if lam1 is not None else _zero(basis)
-            lam2 = lam2 if lam2 is not None else _zero(basis)
-            if strict:
-                _check_hypothesis(basis, lam1, lam2)
-            elif not (hypothesis_ok(basis, lam1) and hypothesis_ok(basis, lam2)):
-                note = "hypothesis_ok=False"
-            params = dict(p=p, r=r, lam1=lam1, lam2=lam2, h=h)
+        elif strict:
+            _check_hypothesis(basis, lam1, lam2)
+        elif not (hypothesis_ok(basis, lam1) and hypothesis_ok(basis, lam2)):
+            note = "hypothesis_ok=False"
         a_entry, b_entry = _theta_products(basis, p, r, lam1, lam2, h)
         d = _delta(p, r)
         lhs = abs(a_entry - d) + abs(b_entry - d)
@@ -417,9 +426,7 @@ def verify(
         note = (note + " " if note else "") + f"entries=({a_entry},{b_entry})"
 
     elif identity == "L33_EQ2":
-        p = _need(p, "p")
-        r = _need(r, "r")
-        h = _need(h, "h")
+        # the directions only feed the strict hypothesis check
         if strict:
             _check_hypothesis(basis, lam1, lam2)
         lhs = 0
@@ -428,26 +435,15 @@ def verify(
             tau = tau_pair(basis.project(s, r), h)[0]
             lhs += _sign(popcount(s & ~p)) * tau_hat * tau
         rhs = _delta(p, r)
-        params = dict(p=p, r=r, h=h)
 
     elif identity == "P34":
-        p = _need(p, "p")
-        r = _need(r, "r")
-        lam1 = _need(lam1, "lam1")
-        lam2 = _need(lam2, "lam2")
-        h = _need(h, "h")
         _, lhs = _theta_products(basis, p, r, lam1, lam2, h)
         pb = basis.project(p, r)
         t1 = lambda_cut(pb, lam1).p_lambda
         t2 = lambda_cut(pb, lam2).q_lambda
         rhs = _sign(popcount(t1 & ~p)) * _delta(t1, t2)
-        params = dict(p=p, r=r, lam1=lam1, lam2=lam2, h=h)
 
     elif identity == "C36":
-        p = _need(p, "p")
-        r = _need(r, "r")
-        lam = _need(lam, "lam")
-        h = _need(h, "h")
         lhs = 0
         for s in iter_between(p, r):
             low = basis.project(p, s)
@@ -456,16 +452,10 @@ def verify(
             tau = tau_pair(basis.project(s, r), h)[0]
             lhs += _sign(b_hat) * th_hat * tau
         rhs = dominance(basis.project(p, r), lam)
-        params = dict(p=p, r=r, lam=lam, h=h)
 
     elif identity == "STAR_RECURSION":
         # lhs = 2*phi + psi of the partition; rhs = 2*theta*phi' + tau*phi'
         # through the first-block split (phi' is the tail partition's phi).
-        p = _need(p, "p")
-        r = _need(r, "r")
-        partition = _need(partition, "partition")
-        lam = _need(lam, "lam")
-        h = _need(h, "h")
         pb = basis.project(p, r)
         pc = partition_indicators(build_frame(pb, partition), lam, h)
         first, tail = _tail_partition(partition)
@@ -481,36 +471,19 @@ def verify(
         tau = tau_pair(high, h)[0]
         lhs = 2 * pc.phi + pc.psi
         rhs = 2 * theta * phi_tail + tau * phi_tail
-        params = dict(p=p, r=r, partition=partition, lam=lam, h=h)
 
     elif identity == "STARSTAR_SIGNS":
         # lhs = 64*alpha + b of the partition; rhs rebuilds both through the
         # first-block split (64 > any count here, so the packing is faithful).
-        p = _need(p, "p")
-        r = _need(r, "r")
-        partition = _need(partition, "partition")
-        lam = _need(lam, "lam")
         lhs, rhs = _starstar_sides(basis, p, r, partition, lam)
-        params = dict(p=p, r=r, partition=partition, lam=lam)
 
     elif identity == "P41":
-        p = _need(p, "p")
-        r = _need(r, "r")
-        lam = _need(lam, "lam")
-        h = _need(h, "h")
-        lhs = _phi_sum(basis, p, r, lam, h)
+        lhs = _partition_sums(basis, p, r, lam, h)[0]
         pb = basis.project(p, r)
         rhs = _sign(sign_counts(pb, lam).b_hat) * theta_pair(pb, lam, h)[1]
-        params = dict(p=p, r=r, lam=lam, h=h)
 
     elif identity == "BOULDER_21":
-        lam = _need(lam, "lam")
-        h = _need(h, "h")
-        p = p if p is not None else 0
-        r = r if r is not None else full
-        lhs = _phi_sum(basis, p, r, lam, h)
-        rhs = _psi_side(basis, p, r, lam, h)
-        params = dict(p=p, r=r, lam=lam, h=h)
+        lhs, rhs = _partition_sums(basis, p, r, lam, h)
 
     else:  # pragma: no cover
         raise MissingParam(identity)
@@ -553,14 +526,12 @@ def collect_forms(
     The h-side set generates the arrangement `certify` enumerates; the
     lam-side set is the regularity gate for direction parameters.
     """
-    if identity not in IDENTITIES:
-        raise MissingParam(f"unknown identity {identity!r}")
+    sig = _signature(identity)
+    given = dict(p=p, q=q, r=r, partition=partition)
+    p, q, r, partition = sig.resolve(basis, given, sig.subsets).values()
     n = basis.rank
-    full = full_mask(n)
 
     if identity in ("L31_THETA", "L31_THETA_HAT"):
-        p = _need(p, "p")
-        q = _need(q, "q")
         pb = basis.project(p, q)
         elem = [pb.elem_icov[i] for i in pb.indices]
         if identity == "L31_THETA":
@@ -573,13 +544,6 @@ def collect_forms(
                 h_covs += [up.dual_icov[i] for i in up.indices]
             lam_covs = elem
         return form_set(n, h_covs), form_set(n, lam_covs)
-
-    if identity == "BOULDER_21":
-        p = p if p is not None else 0
-        r = r if r is not None else full
-    else:
-        p = _need(p, "p")
-        r = _need(r, "r")
 
     if identity in ("L32", "L33_EQ2"):
         el, dl, eh, dh = _pair_covs(basis, p, r)
@@ -595,7 +559,6 @@ def collect_forms(
         return form_set(n, dl + eh), form_set(n, el)
 
     if identity in ("STAR_RECURSION", "STARSTAR_SIGNS"):
-        partition = _need(partition, "partition")
         pb = basis.project(p, r)
         frame = build_frame(pb, partition)
         lam_covs = [frame.dual_icov[i] for i in pb.indices]
@@ -680,17 +643,12 @@ class CertifySession:
     ):
         self.basis = basis
         self.identity = identity
-        full = full_mask(basis.rank)
-        if identity == "BOULDER_21":
-            p = p if p is not None else 0
-            r = r if r is not None else full
-        self.p = p
-        self.q = q
-        self.r = r
-        self.partition = partition
+        self.signature = sig = _signature(identity)
+        given = dict(p=p, q=q, r=r, partition=partition)
+        self.p, self.q, self.r, self.partition = sig.resolve(basis, given, sig.subsets).values()
         self.strict = strict
         self.h_forms, self.lam_forms = collect_forms(
-            basis, identity, p=p, q=q, r=r, partition=partition
+            basis, identity, p=self.p, q=self.q, r=self.r, partition=self.partition
         )
         self.cells: list[Cell] = enumerate_cells(
             self.h_forms, max_forms=max_forms, max_cells=max_cells
@@ -737,12 +695,10 @@ class CertifySession:
         basis, p, q, r, ident = self.basis, self.p, self.q, self.r, self.identity
         proj = basis.project
         if ident == "L31_THETA":
-            lam = _need(lam, "lam")
             cut = lambda_cut(proj(p, q), lam).p_lambda
             lhs = [(_sign(popcount(s & ~cut)), self._tau(proj(p, s))) for s in iter_between(cut, q)]
             return (lhs, [(1, self._theta(proj(p, q), lam))]), None
         if ident == "L31_THETA_HAT":
-            lam = _need(lam, "lam")
             cut = lambda_cut(proj(p, q), lam).q_lambda
             lhs = [
                 (_sign(popcount(cut & ~s)), self._tau_hat(proj(s, q))) for s in iter_between(p, cut)
@@ -759,14 +715,9 @@ class CertifySession:
             return (lhs, [(_delta(p, r), [])]), None
         if ident in ("L33_EQ1", "C35", "P34"):
             if ident == "C35":
-                lam1 = lam2 = _need(lam, "lam")
-            elif ident == "P34":
-                lam1, lam2 = _need(lam1, "lam1"), _need(lam2, "lam2")
-            else:
-                lam1 = lam1 if lam1 is not None else _zero(basis)
-                lam2 = lam2 if lam2 is not None else _zero(basis)
-                if self.strict:
-                    _check_hypothesis(basis, lam1, lam2)
+                lam1 = lam2 = lam
+            elif ident == "L33_EQ1" and self.strict:
+                _check_hypothesis(basis, lam1, lam2)
             a_terms, b_terms = [], []  # entry (P, R) of both signed products
             for s in iter_between(p, r):
                 low, high = proj(p, s), proj(s, r)
@@ -781,7 +732,6 @@ class CertifySession:
             d = _delta(p, r)
             return (a_terms, b_terms), lambda a, b: (abs(a - d) + abs(b - d), 0)
         if ident == "C36":
-            lam = _need(lam, "lam")
             lhs = [
                 (
                     _sign(sign_counts(proj(p, s), lam).b_hat),
@@ -791,7 +741,6 @@ class CertifySession:
             ]
             return (lhs, [(dominance(proj(p, r), lam), [])]), None
         if ident == "STAR_RECURSION":
-            lam = _need(lam, "lam")
             frame = build_frame(proj(p, r), self.partition)
             first, tail = _tail_partition(self.partition)
             high = proj(r & ~first, r)
@@ -802,10 +751,9 @@ class CertifySession:
             rhs = [(2, self._theta(high, lam) + phi_tail), (1, self._tau(high) + phi_tail)]
             return (lhs, rhs), None
         if ident == "STARSTAR_SIGNS":
-            lhs, rhs = _starstar_sides(basis, p, r, self.partition, _need(lam, "lam"))
+            lhs, rhs = _starstar_sides(basis, p, r, self.partition, lam)
             return ([(lhs, [])], [(rhs, [])]), None
         # P41 and BOULDER_21: alternating phi (and psi) sums over ordered partitions
-        lam = _need(lam, "lam")
         pb = proj(p, r)
         phi = [(1, [])] if p == r else []
         psi = [(dominance(pb, lam), [])]
@@ -837,8 +785,9 @@ class CertifySession:
         plus, minus = (_decode(c, len(self.cells)) for c in counters)
         return [a - b for a, b in zip(plus, minus)]
 
-    def _check_regular(self, lam: Optional[QVector], name: str) -> None:
-        if lam is None:
+    def _check_regular(self, lam: QVector, name: str) -> None:
+        # a defaulted direction may be zero (L33_EQ1's first hypothesis case)
+        if name in self.signature.defaults and lam.is_zero():
             return
         for f in self.lam_forms.forms:
             if int_dot(f, lam.ints) == 0:
@@ -850,22 +799,17 @@ class CertifySession:
         lam1: Optional[QVector] = None,
         lam2: Optional[QVector] = None,
     ) -> CertificateReport:
-        self._check_regular(lam, "lam")
-        self._check_regular(lam1, "lam1")
-        self._check_regular(lam2, "lam2")
-
-        channels, finish = self._compile(lam, lam1, lam2)
+        sig = self.signature
+        given = sig.resolve(self.basis, dict(lam=lam, lam1=lam1, lam2=lam2), sig.lams)
+        for name in sig.lams:
+            self._check_regular(given[name], name)
+        channels, finish = self._compile(**given)
         values = zip(*(self._evaluate(ch) for ch in channels))
         if finish is not None:
             values = (finish(*v) for v in values)
         records = [CellRecord(c.signs, c.witness, *v) for c, v in zip(self.cells, values)]
-        params = dict(p=self.p, q=self.q, r=self.r, partition=self.partition)
-        if lam is not None:
-            params["lam"] = lam
-        if lam1 is not None:
-            params["lam1"] = lam1
-        if lam2 is not None:
-            params["lam2"] = lam2
+        params = {k: getattr(self, k) for k in sig.subsets}
+        params.update((k, given[k]) for k in sig.lams)
         return CertificateReport(
             identity=self.identity,
             params=params,

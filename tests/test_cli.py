@@ -1,6 +1,9 @@
 """Command line behavior: verbs, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -106,6 +109,17 @@ def test_verify_strict_non_obtuse_uses_zero_direction(capsys):
     data = json.loads(out)
     lams = {tuple(r["Lambda1"]) for r in data["records"] if "Lambda1" in r}
     assert lams <= {("0", "0")}
+
+
+def test_certify_strict_non_obtuse_uses_zero_direction(capsys):
+    code, out, err = run(
+        capsys,
+        "certify", "--identity", "L33_EQ1", "--rank", "2", "--seed", "1", "--format", "json",
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["summary"]["failed"] == 0
+    assert {tuple(r["Lambda1"]) for r in data["records"]} == {("0", "0")}
 
 
 def test_certify_chain(capsys):
@@ -235,3 +249,23 @@ def test_verify_deterministic_bytes(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_outputs_unchanged_under_optimize():
+    """No guarantee rests on `assert`: `python -O` writes the same bytes."""
+    src = str(Path(conecert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in (
+        ("certify", "--identity", "P41", "--basis", "B2", "--lambda-samples", "2"),
+        ("verify", "--identity", "BOULDER_21", "--basis", "A3", "--samples", "5"),
+    ):
+        outs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "conecert.cli", *argv, "--format", "json"],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            for flags in ((), ("-O",))
+        ]
+        assert json.loads(outs[0])["summary"]["failed"] == 0
+        assert outs[0] == outs[1], argv

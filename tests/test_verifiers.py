@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert.chambers import sample_regular
+from conecert.chambers import sample_regular, wall_point
 from conecert.cli import _hypothesis_lams, _instances
 from conecert.corpus import named_basis, random_basis
 from conecert.errors import (
@@ -65,6 +65,32 @@ def test_unknown_identity_rejected(a2):
 def test_missing_parameter_rejected(a2):
     with pytest.raises(MissingParam):
         verify(a2, "L32", p=0, r=3)  # no h
+
+
+def test_signatures_declare_each_parameter(a3):
+    """verify records exactly the declared parameters; leaving one out raises
+    MissingParam naming it, unless the signature gives it a default."""
+    for identity, sig in verifiers.SIGNATURES.items():
+        inst = _instances(a3, identity, nested_only=True)[-1]
+        h_fs, lam_fs = collect_forms(a3, identity, **inst)
+        kw = dict(inst, **dict(zip(sig.lams, sample_regular(lam_fs, 2, seed=identity))))
+        kw["h"] = sample_regular(h_fs, 1, seed=identity)[0] if sig.h else None
+        assert tuple(verify(a3, identity, strict=False, **kw).params) == sig.names
+        for name in sig.names:
+            partial = {k: v for k, v in kw.items() if k != name}
+            if name in sig.defaults:
+                assert verify(a3, identity, strict=False, **partial).params[name] is not None
+            else:
+                with pytest.raises(MissingParam, match=repr(name)):
+                    verify(a3, identity, strict=False, **partial)
+    # the signatures the catalog's statements fix
+    assert verifiers.SIGNATURES["L33_EQ2"].lams == ()  # directions only gate the hypothesis
+    assert verifiers.SIGNATURES["C35"].lams == ("lam",)
+    assert not verifiers.SIGNATURES["STARSTAR_SIGNS"].h
+    v = verify(a3, "BOULDER_21", lam=qv(1, 2, 3), h=qv(3, 1, 2))
+    assert (v.params["p"], v.params["r"]) == (0, 0b111)
+    v = verify(a3, "L33_EQ1", p=0, r=0b111, h=qv(3, 1, 2))
+    assert v.params["lam1"].is_zero() and v.params["lam2"].is_zero()
 
 
 # -- subset matrices -------------------------------------------------------
@@ -180,6 +206,7 @@ def test_non_nested_pairs_are_trivial(a2):
         )
         assert (v.lhs, v.rhs) == (0, 0)
         assert v.note == "non-nested pair"
+        assert set(v.params) == {"p", "r", "lam", "lam1", "lam2", "h"}  # as given
 
 
 @pytest.mark.parametrize("ident", ["L31_THETA", "L31_THETA_HAT"])
@@ -344,10 +371,6 @@ def _routes_agree(basis, identity, lam_keys, count, strict=True, **inst):
         )
 
 
-# direction parameters per identity, as the CLI sweeps them
-LAM_KEYS = {"L32": (), "L33_EQ2": (), "L33_EQ1": ("lam1", "lam2"), "P34": ("lam1", "lam2")}
-
-
 def test_fast_and_generic_paths_agree(a2, b2, a3):
     for p, r in ((0, 0b11), (0b01, 0b11)):
         _routes_agree(b2, "P41", ("lam",), 4, p=p, r=r)
@@ -355,7 +378,7 @@ def test_fast_and_generic_paths_agree(a2, b2, a3):
         _routes_agree(basis, "BOULDER_21", ("lam",), 4, p=0, r=full_mask(basis.rank))
     for basis in (a2, b2, a3):
         for identity in IDENTITIES:
-            keys = LAM_KEYS.get(identity, ("lam",))
+            keys = verifiers.SIGNATURES[identity].lams
             # L33_EQ1 at sampled directions breaks its hypothesis: exploratory
             strict = identity != "L33_EQ1"
             for inst in _instances(basis, identity, nested_only=True):
@@ -373,6 +396,32 @@ def test_two_sided_inverse_certificates_under_hypothesis(a2, b2, a3):
                 slow = [verify(basis, "L33_EQ1", h=c.witness, **inst, **lam_kw) for c in sess.cells]
                 assert [(c.lhs, c.rhs) for c in rep.cells] == [(v.lhs, v.rhs) for v in slow]
                 assert rep.ok, (basis.name, inst, lam_kw)
+
+
+def test_zero_direction_certificates_on_non_obtuse_basis():
+    """Zero directions are L33_EQ1's hypothesis case on any basis: strict
+    certify accepts them and agrees with verify; other wall directions stay refused."""
+    basis = random_basis(3, 2)
+    assert not obtuse(basis)
+    zero = qv(0, 0, 0)
+    cells = 0
+    for inst in _instances(basis, "L33_EQ1", nested_only=True):
+        sess = CertifySession(basis, "L33_EQ1", **inst)
+        rep = sess.run(lam1=zero, lam2=zero)
+        slow = [
+            verify(basis, "L33_EQ1", h=c.witness, lam1=zero, lam2=zero, **inst) for c in sess.cells
+        ]
+        assert [(c.lhs, c.rhs) for c in rep.cells] == [(v.lhs, v.rhs) for v in slow]
+        assert rep.ok
+        cells += rep.num_cells
+    assert cells == 178
+    sess = CertifySession(basis, "L33_EQ1", p=0, r=0b111, strict=False)
+    on_wall = wall_point(sess.lam_forms, 0, "lam-wall", 9)
+    assert on_wall is not None and not on_wall.is_zero()
+    with pytest.raises(NonRegularLambda, match="lam2 lies on wall"):
+        sess.run(lam1=zero, lam2=on_wall)
+    with pytest.raises(NonRegularLambda):  # P34's directions have no zero default
+        CertifySession(basis, "P34", p=0, r=0b111).run(lam1=zero, lam2=zero)
 
 
 @pytest.mark.parametrize("identity", ["L33_EQ1", "L33_EQ2"])
@@ -406,7 +455,7 @@ def test_session_matches_verify_on_random_bases(seed, kind, identity, data):
     """Session cells equal a direct verify at each witness, rank-3 random bases."""
     basis = random_basis(3, seed, kind)
     inst = data.draw(st.sampled_from(_instances(basis, identity, nested_only=True)))
-    keys = LAM_KEYS.get(identity, ("lam",))
+    keys = verifiers.SIGNATURES[identity].lams
     sess = CertifySession(basis, identity, strict=False, **inst)
     lam_kw = dict(zip(keys, sample_regular(sess.lam_forms, len(keys), seed=seed)))
     rep = sess.run(**lam_kw)
