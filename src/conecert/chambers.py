@@ -6,7 +6,8 @@ their extreme rays (integer tuples), and a new form either leaves a cell on
 one side (all rays weakly one side) or splits it, in which case boundary
 rays are combined pairwise along the new wall.  Ray signs give an exact
 certificate in both directions, and the sum of a cell's rays is an exact
-interior witness.
+interior witness.  Chambers come in antipodal pairs, so only those where
+the first form is positive are enumerated; each also yields its mirror.
 
 Arrangements that do not span the ambient space are quotiented to their
 span first, so cones stay pointed throughout.
@@ -130,12 +131,12 @@ def enumerate_cells(
     pos_of = {orig: t for t, orig in enumerate(proc_order)}
     mapped = [tuple(int_dot(fs.forms[i], b) for b in span_basis) for i in proc_order]
 
-    # seed cells: the 2^k orthants of the first k (independent) mapped forms
+    # seed cells: the orthants of the first k (independent) mapped forms with the first positive
     inv = invert(QMatrix(mapped[:k]))
     base_rays = [primitive_tuple(inv.col(j)) for j in range(k)]
     full_k = (1 << k) - 1
     cells: list[_Cone] = []
-    for sbits in range(1 << k):
+    for sbits in range(1, 1 << k, 2):
         rays = []
         tights = []
         for j in range(k):
@@ -197,17 +198,20 @@ def enumerate_cells(
                     )
                 )
         cells = nxt
-        if len(cells) > max_cells:
+        if 2 * len(cells) > max_cells:
             raise CellBudgetExceeded(f"more than {max_cells} cells")
 
     out = []
     for cone in cells:
         x = _witness(cone.rays, span_basis, fs.dim)
         signs = tuple(1 if cone.signbits >> pos_of[i] & 1 else -1 for i in range(m))
-        for f, s in zip(fs.forms, signs):
-            if s * int_dot(f, x) <= 0:
-                raise WitnessNotInterior(f"witness {x} not strictly inside cell {signs}")
-        out.append(Cell(signs, QVector(x)))
+        # the antipodal chamber: each split of the mirrored cone combines the
+        # negated rays into the negated new ray, so its witness is -x
+        for signs, x in ((signs, x), (tuple(-s for s in signs), tuple(-c for c in x))):
+            for f, s in zip(fs.forms, signs):
+                if s * int_dot(f, x) <= 0:
+                    raise WitnessNotInterior(f"witness {x} not strictly inside cell {signs}")
+            out.append(Cell(signs, QVector(x)))
     out.sort(key=lambda c: c.signs)
     return out
 

@@ -25,6 +25,7 @@ from .partitions import build_frame, enumerate_ordered_partitions
 from .reports import (
     coords_list,
     mask_labels,
+    output_stream,
     render_json,
     render_report_line,
     render_verdict_line,
@@ -32,9 +33,10 @@ from .reports import (
     signs_str,
     summary_record,
     verdict_record,
+    write_certificates,
     write_text,
 )
-from .subsets import bits, full_mask, is_subset, iter_nested_pairs
+from .subsets import bits, full_mask, iter_nested_pairs
 from .verifiers import IDENTITIES, SIGNATURES, CertifySession, collect_forms, obtuse, verify
 
 MAX_EXHAUSTIVE_RANK = 6
@@ -153,7 +155,7 @@ def cmd_verify(args) -> int:
     sig = SIGNATURES[identity]
     records = []
     for inst in _instances(basis, identity, nested_only=False):
-        if sig.matrix and not is_subset(inst["p"], inst["r"]):
+        if sig.trivial(inst["p"], inst.get("r")):
             records.append(verdict_record(basis, verify(basis, identity, **inst)))
             continue
         h_fs, lam_fs = collect_forms(basis, identity, **inst)
@@ -209,20 +211,23 @@ def cmd_certify(args) -> int:
         )
     _, strict = _parse_mode(args.mode)
     identity = args.identity
-    records = []
-    walls = []
+    records, reports, walls = [], [], []  # reports are kept for json output only
     for inst in _instances(basis, identity, nested_only=True):
         session = CertifySession(basis, identity, strict=strict, **inst)
         key = _inst_key(inst)
         for lam_kw in _lam_streams(basis, identity, session.lam_forms, args, key, strict):
             rep = session.run(**lam_kw)
-            records.append(report_record(basis, rep, include_cells=args.format == "json"))
+            records.append(report_record(basis, rep))
+            if args.format == "json":
+                reports.append(rep)
             if args.wall_probe:
                 walls += _wall_records(basis, identity, session, lam_kw, args, key)
     summ = summary_record(records)
-    payload = {"records": records, "summary": summ}
-    if args.wall_probe:
-        payload["wall_probes"] = walls
+    code = 0 if summ["failed"] == 0 else 1
+    if args.format == "json":
+        with output_stream(args.out) as fh:
+            write_certificates(fh, records, reports, summ, walls if args.wall_probe else None)
+        return code
     lines = [render_report_line(r) for r in records]
     if args.wall_probe:
         lines += [
@@ -234,8 +239,8 @@ def cmd_certify(args) -> int:
         f"certify {identity} basis={basis.name}: "
         f"{summ['passed']}/{summ['total']} certificates passed, {summ['failed']} failed"
     )
-    _emit(args, payload, lines)
-    return 0 if summ["failed"] == 0 else 1
+    write_text("\n".join(lines), args.out)
+    return code
 
 
 def cmd_chambers(args) -> int:

@@ -98,9 +98,6 @@ class EuclideanBasis:
     def full_projection(self) -> "ProjectedBasis":
         return self.project(0, full_mask(self.rank))
 
-    def subset_labels(self, mask: int) -> list[str]:
-        return [self.labels[i] for i in bits(mask)]
-
     def __repr__(self) -> str:
         return f"EuclideanBasis(rank={self.rank}, labels={self.labels!r})"
 

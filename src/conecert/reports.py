@@ -3,14 +3,17 @@
 Records are plain dicts with deterministic key and element order; rationals
 become fraction strings, index masks become sorted label lists, and sign
 vectors become +/- strings.  The same records feed both the json and the
-text renderers.
+text renderers.  Certificates are written by `write_certificates`, which
+streams exactly render_json's bytes and formats their cells from templates.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .geometry import EuclideanBasis
 from .linalg import QVector
@@ -80,36 +83,14 @@ def signs_str(signs: Iterable[int]) -> str:
     return "".join("+" if s > 0 else "-" for s in signs)
 
 
-def report_record(
-    basis: EuclideanBasis, rep: CertificateReport, include_cells: bool = True
-) -> dict:
+def report_record(basis: EuclideanBasis, rep: CertificateReport) -> dict:
+    """A certificate's header; `write_certificates` adds its cells."""
     rec = {"identity": rep.identity, "basis": basis.name}
     rec.update(_params_json(basis, rep.params))
     rec["num_forms"] = rep.num_forms
     rec["num_lam_forms"] = rep.num_lam_forms
     rec["num_cells"] = rep.num_cells
     rec["pass"] = rep.ok
-    if include_cells:
-        rec["cells"] = [
-            {
-                "signs": signs_str(c.signs),
-                "H": coords_list(c.witness),
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "pass": c.ok,
-            }
-            for c in rep.cells
-        ]
-    else:
-        rec["failures"] = [
-            {
-                "signs": signs_str(c.signs),
-                "H": coords_list(c.witness),
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-            }
-            for c in rep.failures()
-        ]
     return rec
 
 
@@ -120,6 +101,44 @@ def summary_record(records: list[dict]) -> dict:
 
 def render_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+# render_json's layout of a certificate cell, split where its lhs starts
+_CELL_HEAD = '\n        {\n          "signs": "%s",\n          "H": %s,\n          "lhs": '
+_CELL_TAIL = '%d,\n          "rhs": %d,\n          "pass": %s\n        }'
+
+
+def _nested(obj, level: int) -> str:
+    """json.dumps(obj, indent=2) as it reads `level` containers deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def write_certificates(fh: TextIO, records: list, reports: list, summary: dict, walls=None) -> None:
+    """Write render_json's bytes for a certify payload, cell by cell.
+
+    The payload is {"records", "summary"}, plus "wall_probes" unless `walls`
+    is None; each record is its report's `report_record` header with "cells"
+    last.  A cell's head depends only on its signs and witness, objects the
+    reports of one session share, so each head is formatted once.
+    """
+    heads: dict = {}  # (id(signs), id(witness)) -> head; the reports keep both alive
+    fh.write('{\n  "records": [')
+    for k, (rec, rep) in enumerate(zip(records, reports, strict=True)):
+        fh.write(",\n    " if k else "\n    ")
+        fh.write(_nested(rec, 2)[: -len("\n    }")] + ',\n      "cells": [')
+        for i, c in enumerate(rep.cells):
+            key = (id(c.signs), id(c.witness))
+            if key not in heads:
+                h = ",".join(f'\n            "{x}"' for x in coords_list(c.witness))
+                heads[key] = _CELL_HEAD % (signs_str(c.signs), f"[{h}\n          ]" if h else "[]")
+            ok = "true" if c.ok else "false"
+            fh.write(("," if i else "") + heads[key] + _CELL_TAIL % (c.lhs, c.rhs, ok))
+        fh.write("\n      ]\n    }" if rep.cells else "]\n    }")
+    fh.write("\n  ]," if records else "],")
+    fh.write(f'\n  "summary": {_nested(summary, 1)}')
+    if walls is not None:
+        fh.write(f',\n  "wall_probes": {_nested(walls, 1)}')
+    fh.write("\n}\n")
 
 
 def _fmt_params(rec: dict) -> str:
@@ -154,9 +173,16 @@ def render_report_line(rec: dict) -> str:
     )
 
 
-def write_text(text: str, out: Optional[str]) -> None:
+@contextmanager
+def output_stream(out: Optional[str]) -> Iterator[TextIO]:
+    """stdout for None or "-", else the file `out`, opened for text."""
     if out in (None, "-"):
-        print(text, end="" if text.endswith("\n") else "\n")
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
+
+
+def write_text(text: str, out: Optional[str]) -> None:
+    with output_stream(out) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")

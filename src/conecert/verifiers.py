@@ -97,6 +97,10 @@ class Signature:
                 raise MissingParam(f"identity requires parameter {name!r}")
         return out
 
+    def trivial(self, p: int, r: Optional[int]) -> bool:
+        """True at a matrix entry off nested pairs: zero on both sides, no walls."""
+        return self.matrix and not is_subset(p, r)
+
 
 _PQ, _PR, _L12 = ("p", "q"), ("p", "r"), ("lam1", "lam2")
 
@@ -178,9 +182,6 @@ class CertificateReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cells)
-
-    def failures(self) -> list[CellRecord]:
-        return [c for c in self.cells if not c.ok]
 
 
 class SubsetMatrix:
@@ -375,10 +376,8 @@ def verify(
     sig = _signature(identity)
     given = dict(p=p, q=q, r=r, partition=partition, lam=lam, lam1=lam1, lam2=lam2, h=h)
     if sig.matrix:
-        # matrix-entry statements: entries at non-nested pairs are zero on
-        # both sides, so the interval sum is empty and the check is trivial
         sig.resolve(basis, given, ("p", "r"))
-        if not is_subset(p, r):
+        if sig.trivial(p, r):
             params = {k: v for k, v in given.items() if v is not None}
             return Verdict(identity, 0, 0, params, note="non-nested pair")
     given = sig.resolve(basis, given, sig.names)
@@ -524,12 +523,15 @@ def collect_forms(
     """(h-side, lam-side) wall families an identity's indicators read.
 
     The h-side set generates the arrangement `certify` enumerates; the
-    lam-side set is the regularity gate for direction parameters.
+    lam-side set is the regularity gate for direction parameters.  A matrix
+    entry off nested pairs is zero on both sides and reads no walls.
     """
     sig = _signature(identity)
     given = dict(p=p, q=q, r=r, partition=partition)
     p, q, r, partition = sig.resolve(basis, given, sig.subsets).values()
     n = basis.rank
+    if sig.trivial(p, r):
+        return form_set(n, []), form_set(n, [])
 
     if identity in ("L31_THETA", "L31_THETA_HAT"):
         pb = basis.project(p, q)
@@ -647,6 +649,7 @@ class CertifySession:
         given = dict(p=p, q=q, r=r, partition=partition)
         self.p, self.q, self.r, self.partition = sig.resolve(basis, given, sig.subsets).values()
         self.strict = strict
+        self.trivial = sig.trivial(self.p, self.r)
         self.h_forms, self.lam_forms = collect_forms(
             basis, identity, p=self.p, q=self.q, r=self.r, partition=self.partition
         )
@@ -693,6 +696,8 @@ class CertifySession:
         here, once, with verify's errors and messages.
         """
         basis, p, q, r, ident = self.basis, self.p, self.q, self.r, self.identity
+        if self.trivial:
+            return ([], []), None  # verify's zero entry
         proj = basis.project
         if ident == "L31_THETA":
             cut = lambda_cut(proj(p, q), lam).p_lambda

@@ -58,7 +58,7 @@ def test_acceptance_1_exhaustive_main_identity(corpus):
             rep = sess.run(lam=lam)
             total_runs += 1
             total_cells += rep.num_cells
-            for cell in rep.failures():
+            for cell in (c for c in rep.cells if not c.ok):
                 failures.append((basis.name, tuple(lam.coords), cell.signs))
     conclude(
         1,

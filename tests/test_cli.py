@@ -1,5 +1,6 @@
 """Command line behavior: verbs, exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 import conecert
 from conecert.cli import _parse_mode, main
 from conecert.corpus import named_basis, save_basis
-from conecert.errors import InvalidMode
+from conecert.errors import ConecertError, InvalidMode
+from conecert.verifiers import CertifySession
 
 
 def run(capsys, *argv):
@@ -83,6 +85,18 @@ def test_verify_covers_non_nested_pairs(capsys):
     assert "non-nested pair" in notes
 
 
+@pytest.mark.parametrize("identity", sorted(conecert.IDENTITIES))
+def test_verify_sweeps_every_identity(capsys, identity):
+    """The sweep's non-nested-pair test reads only the parameters an identity takes."""
+    code, out, err = run(
+        capsys,
+        "verify", "--identity", identity, "--basis", "A2",
+        "--samples", "2", "--lambda-samples", "1", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
 def test_verify_exploratory_failures_exit_one(capsys, tmp_path):
     path = tmp_path / "sharp.json"
     from conecert.geometry import make_basis
@@ -142,6 +156,48 @@ def test_certify_json_cells(capsys):
     data = json.loads(out)
     assert data["summary"]["total"] == 2
     assert all(len(r["cells"]) == 2 for r in data["records"])
+
+
+def test_certify_bytes_pinned(capsys):
+    """Full output bytes of a multi-direction certificate, layout included."""
+    code, out, _ = run(
+        capsys,
+        "certify", "--identity", "BOULDER_21", "--basis", "A4",
+        "--lambda-samples", "3", "--format", "json",
+    )
+    assert code == 0
+    data = out.encode("utf-8")
+    assert len(data) == 617_070
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "cbf63fa01b40ea032765380e41eb5d4a30bffb19d8f793e8e5b405673d05a443"
+    )
+
+
+def test_certify_error_writes_nothing(capsys, monkeypatch, tmp_path):
+    """A session that fails after others succeeded leaves no partial output."""
+    real = CertifySession.run
+    calls = []
+
+    def run_then_fail(self, **kw):
+        calls.append(kw)
+        if len(calls) == 2:
+            raise ConecertError("injected failure")
+        return real(self, **kw)
+
+    monkeypatch.setattr(CertifySession, "run", run_then_fail)
+    out_path = tmp_path / "cert.json"
+    for extra in (("--format", "json"), ("--format", "json", "--out", str(out_path)), ()):
+        calls.clear()
+        code, out, err = run(
+            capsys,
+            "certify", "--identity", "C36", "--basis", "A2", "--lambda-samples", "2", *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: injected failure\n"
+        assert len(calls) == 2
+    assert not out_path.exists()
 
 
 def test_certify_budget_guard(capsys):

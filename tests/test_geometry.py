@@ -8,6 +8,7 @@ from conecert.corpus import named_basis, random_basis
 from conecert.errors import NotNested, NotPositiveDefinite, RankMismatch
 from conecert.geometry import lambda_cut, make_basis
 from conecert.linalg import QVector, int_dot
+from conecert.reports import mask_labels
 from conecert.subsets import full_mask, iter_nested_pairs
 
 from conftest import project_onto, qv
@@ -27,7 +28,7 @@ def test_default_labels_and_name():
     b = make_basis([[2, -1], [-1, 2]])
     assert b.labels == ("a1", "a2")
     assert b.name == "rank2"
-    assert b.subset_labels(0b10) == ["a2"]
+    assert mask_labels(b, 0b10) == ["a2"]
 
 
 def test_chain_rank2_inner_products(a2):

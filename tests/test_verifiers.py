@@ -16,10 +16,11 @@ from conecert.errors import (
 from conecert.geometry import make_basis
 from conecert.linalg import QVector
 from conecert.partitions import OrderedPartition, enumerate_ordered_partitions
-from conecert.subsets import full_mask, iter_nested_pairs, popcount
+from conecert.subsets import full_mask, is_subset, iter_nested_pairs, popcount
 from conecert import verifiers
 from conecert.verifiers import (
     IDENTITIES,
+    SIGNATURES,
     CertifySession,
     SubsetMatrix,
     certify,
@@ -209,6 +210,33 @@ def test_non_nested_pairs_are_trivial(a2):
         assert set(v.params) == {"p", "r", "lam", "lam1", "lam2", "h"}  # as given
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "A3"])
+def test_certify_off_nested_pairs_matches_verify(name):
+    """A matrix entry off nested pairs certifies to verify's trivial zero entry."""
+    basis = named_basis(name)
+    n = basis.rank
+    lam = QVector(range(1, n + 1))  # outside L33's hypothesis cone: not checked here
+    checked = 0
+    for ident, sig in SIGNATURES.items():
+        if not sig.matrix:
+            continue
+        lams = {key: lam for key in sig.lams}
+        for p in range(1 << n):
+            for r in range(1 << n):
+                if is_subset(p, r):
+                    continue
+                h_fs, lam_fs = collect_forms(basis, ident, p=p, r=r)
+                assert h_fs.forms == lam_fs.forms == ()
+                rep = certify(basis, ident, p=p, r=r, **lams)
+                (cell,) = rep.cells
+                v = verify(basis, ident, p=p, r=r, h=cell.witness, **lams)
+                assert v.note == "non-nested pair"
+                assert (cell.lhs, cell.rhs) == (v.lhs, v.rhs) == (0, 0), (ident, p, r)
+                assert rep.ok and rep.num_forms == 0
+                checked += 1
+    assert checked == 6 * (4**n - 3**n)
+
+
 @pytest.mark.parametrize("ident", ["L31_THETA", "L31_THETA_HAT"])
 def test_cone_expansions(ident, a2):
     for p, q in iter_nested_pairs(2):
@@ -346,7 +374,7 @@ def test_certificate_full_pair_rank2(a2):
         rep = sess.run(lam=lam)
         assert rep.num_cells == 8
         assert rep.ok
-        assert rep.failures() == []
+        assert [c for c in rep.cells if not c.ok] == []
 
 
 def test_certificate_rejects_wall_direction(a2):
@@ -499,7 +527,7 @@ def test_product_vanishing_certificates(a2):
         lams = sample_regular(sess.lam_forms, 6, seed=repr(("pv", p, r)))
         for i in range(0, 6, 2):
             rep = sess.run(lam1=lams[i], lam2=lams[i + 1])
-            assert rep.ok, (p, r, rep.failures()[:2])
+            assert rep.ok, (p, r, [c for c in rep.cells if not c.ok][:2])
 
 
 def test_certificate_report_shape(a2):
