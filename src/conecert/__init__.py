@@ -25,7 +25,6 @@ from .corpus import (
     named_gram,
     random_basis,
     random_gram,
-    save_basis,
 )
 from .errors import (
     CellBudgetExceeded,
@@ -68,7 +67,6 @@ from .partitions import (
     PartitionFrame,
     build_frame,
     enumerate_ordered_partitions,
-    fubini,
 )
 from .subsets import (
     bits,
@@ -83,13 +81,11 @@ from .verifiers import (
     IDENTITIES,
     CertificateReport,
     CertifySession,
-    SubsetMatrix,
     Verdict,
     certify,
     collect_forms,
     hypothesis_ok,
     obtuse,
-    signed_matrices,
     verify,
 )
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import CellBudgetExceeded, ConecertError, SamplingExhausted, WitnessNotInterior
-from .linalg import QMatrix, QVector, int_dot, invert, primitive_tuple
+from .linalg import QMatrix, QVector, _prim, int_dot, invert, pivots, primitive_tuple
 
 MAX_FORMS = 40
 MAX_CELLS = 500_000
@@ -40,11 +39,11 @@ class FormSet:
     forms: tuple[tuple[int, ...], ...]
 
 
-def form_set(dim: int, covectors: Iterable[Sequence]) -> FormSet:
+def form_set(dim: int, covectors: Iterable[Sequence[int]]) -> FormSet:
     seen = set()
     out = []
     for cov in covectors:
-        key = primitive_tuple(cov)
+        key = _prim(cov)
         if len(key) != dim:
             raise ValueError(f"covector length {len(key)} vs dim {dim}")
         if all(c == 0 for c in key):
@@ -63,29 +62,23 @@ class Cell:
     witness: QVector
 
 
-def _prim(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g > 1:
-        return tuple(x // g for x in v)
-    return tuple(v)
-
-
 def _independent_subset(forms, dim):
-    """Indices of a greedy maximal linearly independent subset, in order."""
-    reduced = []  # (pivot column, reduced row)
-    chosen = []
+    """Indices of a greedy maximal linearly independent subset, in order.
+
+    A form joins when the last pivot of the integer Gram matrix of the chosen
+    forms and itself is nonzero.  The earlier pivots are positive, since the
+    chosen forms are independent, and the last one is the squared distance
+    of the form from their span: zero exactly when the form depends on them.
+    """
+    chosen: list[int] = []
+    gram: list[list[int]] = []  # the chosen forms' Gram matrix
     for idx, f in enumerate(forms):
-        v = [Fraction(c) for c in f]
-        for p, row in reduced:
-            if v[p] != 0:
-                fct = v[p] / row[p]
-                v = [a - fct * b for a, b in zip(v, row)]
-        p = next((j for j, a in enumerate(v) if a != 0), None)
-        if p is not None:
-            reduced.append((p, v))
+        col = [int_dot(forms[i], f) for i in chosen]
+        rows = [row + [c] for row, c in zip(gram, col)] + [col + [int_dot(f, f)]]
+        *_, last = islice(pivots(list(rows)), len(rows))
+        if last:
             chosen.append(idx)
+            gram = rows
             if len(chosen) == dim:
                 break
     return chosen
@@ -131,9 +124,10 @@ def enumerate_cells(
     pos_of = {orig: t for t, orig in enumerate(proc_order)}
     mapped = [tuple(int_dot(fs.forms[i], b) for b in span_basis) for i in proc_order]
 
-    # seed cells: the orthants of the first k (independent) mapped forms with the first positive
+    # seed cells: the orthants of the first k (independent) mapped forms with the first
+    # positive; mapped[:k] is the chosen forms' Gram matrix, so its inverse is symmetric
     inv = invert(QMatrix(mapped[:k]))
-    base_rays = [primitive_tuple(inv.col(j)) for j in range(k)]
+    base_rays = [primitive_tuple(row) for row in inv.rows]
     full_k = (1 << k) - 1
     cells: list[_Cone] = []
     for sbits in range(1, 1 << k, 2):

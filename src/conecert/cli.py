@@ -328,6 +328,17 @@ def cmd_bases(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the sampling options: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def _add_common(sp, with_identity: Optional[bool] = None, sampling: bool = False):
     if with_identity is not None:
         sp.add_argument(
@@ -341,13 +352,13 @@ def _add_common(sp, with_identity: Optional[bool] = None, sampling: bool = False
     sp.add_argument("--rank", type=int, help="rank for a seeded random basis")
     sp.add_argument("--mode", default="", help="comma tokens: general|obtuse, strict|exploratory")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bound", type=int, default=9, help="sampling box half-width")
+    sp.add_argument("--bound", type=_positive_int, default=9, help="sampling box half-width")
     sp.add_argument("--out", help="output path (default stdout)")
     sp.add_argument("--format", choices=("json", "text"), default="text")
     if sampling:
-        sp.add_argument("--samples", type=int, default=100, help="points per instance")
+        sp.add_argument("--samples", type=_positive_int, default=100, help="points per instance")
         sp.add_argument(
-            "--lambda-samples", dest="lambda_samples", type=int, default=5,
+            "--lambda-samples", dest="lambda_samples", type=_positive_int, default=5,
             help="direction samples per instance",
         )
 

@@ -100,8 +100,6 @@ def random_gram(rank: int, seed: int, kind: str = "general") -> QMatrix:
     kind "obtuse" keeps every off-diagonal entry <= 0; "general" allows any
     sign.  Positive definiteness comes from strict diagonal dominance.
     """
-    if rank < 1:
-        raise InvalidRank("rank must be positive")
     if kind not in ("general", "obtuse"):
         raise InvalidRank(f"unknown kind {kind!r}")
     rng = random.Random(("gram", kind, rank, seed).__repr__())
@@ -123,10 +121,11 @@ def random_basis(rank: int, seed: int, kind: str = "general") -> EuclideanBasis:
 def _frac_from_json(x) -> Fraction:
     if isinstance(x, bool):
         raise RankMismatch("gram entries must be numbers or fraction strings")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise RankMismatch(f"bad gram entry {x!r}")
 
 
@@ -136,14 +135,21 @@ def _frac_to_json(x: Fraction) -> str:
 
 def basis_from_dict(data: dict) -> EuclideanBasis:
     """Build a basis from {"rank", "gram", optional "labels"/"name"}."""
+    if not isinstance(data, dict):
+        raise RankMismatch(f"a basis is a JSON object, not {type(data).__name__}")
     rank = data.get("rank")
     gram = data.get("gram")
     if gram is None:
         raise RankMismatch("basis dict needs a gram field")
+    if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
+        raise RankMismatch("gram must be a list of rows")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, (list, tuple)):
+        raise RankMismatch("labels must be a list")
     rows = [[_frac_from_json(x) for x in row] for row in gram]
     if rank is not None and len(rows) != rank:
         raise RankMismatch(f"gram has {len(rows)} rows but rank says {rank}")
-    return make_basis(rows, labels=data.get("labels"), name=data.get("name"))
+    return make_basis(rows, labels=labels, name=data.get("name"))
 
 
 def basis_to_dict(basis: EuclideanBasis) -> dict:
@@ -160,13 +166,11 @@ def basis_to_dict(basis: EuclideanBasis) -> dict:
 
 def load_basis(path: str) -> EuclideanBasis:
     with open(path, "r", encoding="utf-8") as fh:
-        return basis_from_dict(json.load(fh))
-
-
-def save_basis(basis: EuclideanBasis, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(basis_to_dict(basis), fh, indent=2)
-        fh.write("\n")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise RankMismatch(f"{path}: not a JSON file ({exc})") from None
+    return basis_from_dict(data)
 
 
 def resolve_basis(spec: Optional[str], rank: Optional[int] = None, seed: int = 0) -> EuclideanBasis:

@@ -47,7 +47,8 @@ class GroundMismatch(ConecertError):
 
 
 class RankMismatch(ConecertError):
-    """A vector or subset refers to a different rank than the basis."""
+    """A vector or subset refers to a different rank than the basis, or a
+    basis description (a dict or a JSON file) is malformed."""
 
 
 class InvalidRank(ConecertError):

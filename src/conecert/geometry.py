@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotNested, RankMismatch
+from .errors import InvalidRank, NotNested, RankMismatch
 from .linalg import (
     QMatrix,
     QVector,
@@ -33,7 +33,7 @@ class EuclideanBasis:
 
     Coordinates are always taken in this basis, so basis vector i is the
     i-th unit coordinate vector and the dual family sits in the columns of
-    the inverse Gram matrix.
+    the inverse Gram matrix.  The rank must be positive.
     """
 
     def __init__(
@@ -42,6 +42,8 @@ class EuclideanBasis:
         labels: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
     ):
+        if gram.nrows == 0:
+            raise InvalidRank("rank must be positive")
         check_gram(gram)
         self.gram = gram
         self.rank = gram.nrows
@@ -52,7 +54,8 @@ class EuclideanBasis:
             raise RankMismatch(f"{len(labels)} labels for rank {self.rank}")
         self.labels = labels
         self.name = name if name is not None else f"rank{self.rank}"
-        self.dual_coords = invert(gram)  # column j = coordinates of dual vector j
+        # G^-1 is symmetric: row j = column j = coordinates of dual vector j
+        self.dual_coords = invert(gram)
         self._proj_cache: dict = {}
         self._frame_cache: dict = {}
 
@@ -71,7 +74,7 @@ class EuclideanBasis:
         return primitive_tuple(self.covector(v).coords)
 
     def dual_vector(self, i: int) -> QVector:
-        return self.dual_coords.col(i)
+        return QVector(self.dual_coords.rows[i])
 
     def project_span(self, mask: int, x: QVector) -> QVector:
         """Orthogonal projection of x onto the span of basis vectors in mask."""
@@ -120,6 +123,18 @@ class ProjectedBasis:
                    the ambient dual vector i onto that span.
 
     Both families are indexed by the ambient indices in upper \\ lower.
+    With P = lower, Q = upper and G the Gram matrix, they equal
+
+      elements[i] = e_i - sum_{j, k in P} (G_PP^-1)_{jk} G_{ki} e_j
+      duals[i]    = sum_{j in Q} (G_QQ^-1)_{ji} e_j
+
+    Proof.  The sum in the first line is the projection of e_i onto
+    span(P): its coefficients G_PP^-1 G_Pi solve the normal equations.  The
+    vector in the second line lies in span(Q) and pairs with e_k to
+    delta_ik for every k in Q.  As i is not in P, it is orthogonal to
+    span(P), so it lies in the span of the elements, and it pairs to
+    delta_ik with element k, which is e_k minus a vector of span(P).  Only
+    the dual family has both properties.
     """
 
     def __init__(self, basis: EuclideanBasis, lower: int, upper: int):
@@ -153,12 +168,6 @@ class ProjectedBasis:
 
         self.elem_icov = {i: basis.icov(v) for i, v in self.elements.items()}
         self.dual_icov = {i: basis.icov(v) for i, v in self.duals.items()}
-
-    def element(self, i: int) -> QVector:
-        return self.elements[i]
-
-    def dual(self, i: int) -> QVector:
-        return self.duals[i]
 
     def __repr__(self) -> str:
         return f"ProjectedBasis(lower={self.lower:#b}, upper={self.upper:#b})"

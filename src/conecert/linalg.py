@@ -2,16 +2,20 @@
 
 Scalars are `fractions.Fraction` throughout: arbitrary precision, canonical
 sign and lowest terms for free.  Nothing in this module ever rounds.  The
-matrix routines are plain Gaussian elimination with exact pivots; for the
-sizes this library works at (rank <= 8ish) that is entirely adequate.
+package has one exact elimination, `pivots` (Gauss-Jordan with exact
+pivots): `invert` runs it to the end and `solve` applies the inverse,
+`check_gram` reads its pivots as leading principal minors, and chamber
+enumeration reads the pivots of an integer Gram matrix to find independent
+forms.  For the sizes this library works at (rank <= 8ish) plain
+elimination is entirely adequate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, SingularMatrix
 
@@ -19,23 +23,22 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _prim(v: Sequence[int]) -> tuple[int, ...]:
+    """An integer tuple divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def primitive_tuple(coeffs) -> tuple[int, ...]:
     """Scale a rational tuple to primitive integers by a positive factor.
 
-    The sign pattern is preserved exactly, so the result can stand in for
-    the original functional wherever only signs matter.
+    Clears denominators, then `_prim`.  The sign pattern is preserved
+    exactly, so the result can stand in for the original functional
+    wherever only signs matter.
     """
     fracs = [_frac(c) for c in coeffs]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    den = lcm(*(c.denominator for c in fracs))
+    return _prim([int(c * den) for c in fracs])
 
 
 def int_dot(a: Sequence, b: Sequence):
@@ -86,9 +89,6 @@ class QVector:
         self._check(other)
         return QVector(a - b for a, b in zip(self.coords, other.coords))
 
-    def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.coords)
-
     def scale(self, c) -> "QVector":
         c = _frac(c)
         return QVector(c * a for a in self.coords)
@@ -134,9 +134,6 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def col(self, j: int) -> QVector:
-        return QVector(r[j] for r in self.rows)
-
     def is_symmetric(self) -> bool:
         if self.nrows != self.ncols:
             return False
@@ -155,6 +152,48 @@ class QMatrix:
         return "QMatrix(%r)" % (self.rows,)
 
 
+def pivots(rows: list[list]) -> Iterator[Fraction]:
+    """Gauss-Jordan elimination on `rows`, in place: the one elimination routine.
+
+    Entries are ints or Fractions, and every division is exact.  Column k
+    of the leading square block is cleared in every other row with pivot
+    row k, which is scaled to a leading 1; the rows may carry further
+    columns (an augmented identity, for `invert`).  Raises SingularMatrix
+    when no row at or below k has a nonzero entry in column k.
+
+    rows[k][k] is yielded before column k is touched: before the row swap
+    and before the SingularMatrix check.  Until a row has been swapped,
+    that entry is the k-th leading principal minor over the (k-1)-th, since
+    row k has only been reduced by the rows above it, as in elimination
+    without pivoting.  So a caller that stops at the first zero pivot reads
+    leading minors only and never sees a swap or an exception.
+    """
+    n = len(rows)
+    for col in range(n):
+        yield rows[col][col]
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrix(f"no pivot in column {col}")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / _frac(rows[col][col])
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+
+
+def invert(mat: QMatrix) -> QMatrix:
+    """Exact inverse: `pivots` run to the end on [mat | I]."""
+    if mat.nrows != mat.ncols:
+        raise DimensionMismatch("invert needs a square matrix")
+    n = mat.nrows
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat.rows)]
+    for _ in pivots(a):
+        pass
+    return QMatrix([row[n:] for row in a])
+
+
 def solve(mat: QMatrix, rhs: QVector) -> QVector:
     """Solve mat @ x = rhs exactly, as invert(mat) applied to rhs.
 
@@ -171,81 +210,20 @@ def solve(mat: QMatrix, rhs: QVector) -> QVector:
     return invert(mat).mul_vec(rhs)
 
 
-def invert(mat: QMatrix) -> QMatrix:
-    """Exact inverse via Gauss-Jordan on [mat | I]; the one elimination routine."""
-    if mat.nrows != mat.ncols:
-        raise DimensionMismatch("invert needs a square matrix")
-    n = mat.nrows
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return QMatrix([row[n:] for row in a])
-
-
-def leading_minors(mat: QMatrix) -> list[Fraction]:
-    """Determinants of the leading principal submatrices, sizes 1..n.
-
-    Computed by fraction-free-ish elimination in natural order: minor k is
-    the product of the first k pivots.  A zero pivot before column n means
-    some leading minor vanishes; the remaining minors are then computed
-    directly by cofactor expansion (sizes here are tiny).
-    """
-    n = mat.nrows
-    if n != mat.ncols:
-        raise DimensionMismatch("minors need a square matrix")
-    out: list[Fraction] = []
-    a = [list(row) for row in mat.rows]
-    prod = Fraction(1)
-    for col in range(n):
-        if a[col][col] == 0:
-            # fall back for this and later minors
-            for k in range(col + 1, n + 1):
-                out.append(_det([row[:k] for row in mat.rows[:k]]))
-            return out
-        prod *= a[col][col]
-        out.append(prod)
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return out
-
-
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j, x in enumerate(rows[0]):
-        if x == 0:
-            continue
-        sub = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        total += (-1) ** j * x * _det(sub)
-    return total
-
-
 def check_gram(mat: QMatrix) -> None:
     """Validate a Gram matrix candidate: symmetric positive definite.
 
-    Positive definiteness is decided exactly through the leading principal
-    minors; the first non-positive one is reported with its value.
+    Positive definiteness is decided exactly by the leading principal
+    minors, read as running products of the pivots of `pivots`: all minors
+    are positive iff all pivots are, and elimination stops at the first
+    pivot <= 0, which is reported with its minor.
     """
     if mat.nrows != mat.ncols:
         raise NotSymmetric("gram matrix must be square")
     if not mat.is_symmetric():
         raise NotSymmetric("gram matrix must be symmetric")
-    for k, minor in enumerate(leading_minors(mat), start=1):
-        if minor <= 0:
+    minor = Fraction(1)
+    for k, pivot in enumerate(pivots([list(row) for row in mat.rows]), start=1):
+        minor *= pivot
+        if pivot <= 0:
             raise NotPositiveDefinite(k, minor)

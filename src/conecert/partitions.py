@@ -42,13 +42,6 @@ class OrderedPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, i: int) -> int:
-        """0-based block position holding index i."""
-        for u, b in enumerate(self.blocks):
-            if b >> i & 1:
-                return u
-        raise KeyError(i)
-
 
 def enumerate_ordered_partitions(ground: int) -> list[OrderedPartition]:
     """All ordered partitions of the ground mask.
@@ -71,19 +64,6 @@ def enumerate_ordered_partitions(ground: int) -> list[OrderedPartition]:
 
     rec(ground, ())
     return out
-
-
-def fubini(n: int) -> int:
-    """Number of ordered partitions of an n-element set."""
-    a = [1]
-    for m in range(1, n + 1):
-        total = 0
-        binom = 1
-        for k in range(1, m + 1):
-            binom = binom * (m - k + 1) // k
-            total += binom * a[m - k]
-        a.append(total)
-    return a[n]
 
 
 class PartitionFrame:
@@ -136,9 +116,6 @@ class PartitionFrame:
     @property
     def indices(self) -> tuple[int, ...]:
         return self.base.indices
-
-    def block_of(self, i: int) -> int:
-        return self.partition.block_of(i)
 
 
 def build_frame(base, partition: OrderedPartition) -> PartitionFrame:

@@ -12,24 +12,17 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .geometry import EuclideanBasis
-from .linalg import QVector
 from .partitions import OrderedPartition
 from .subsets import bits
 from .verifiers import CertificateReport, Verdict
 
 
-def frac_str(x) -> str:
-    return str(x) if isinstance(x, Fraction) else str(Fraction(x))
-
-
 def coords_list(vec) -> list[str]:
-    if isinstance(vec, QVector):
-        return [frac_str(c) for c in vec.coords]
-    return [frac_str(c) for c in vec]
+    """Coordinates (ints or Fractions, in a tuple or a QVector) as fraction strings."""
+    return [str(c) for c in vec]
 
 
 def mask_labels(basis: EuclideanBasis, mask: int) -> list[str]:

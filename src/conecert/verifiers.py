@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chambers import MAX_CELLS, MAX_FORMS, Cell, enumerate_cells, form_set
-from .errors import HypothesisViolated, MissingParam, NonRegularLambda, NotNested
+from .errors import HypothesisViolated, MissingParam, NonRegularLambda
 from .geometry import EuclideanBasis, lambda_cut
 from .indicators import (
     _pos,
@@ -59,7 +59,7 @@ from .indicators import (
 )
 from .linalg import QVector, int_dot
 from .partitions import OrderedPartition, build_frame, enumerate_ordered_partitions
-from .subsets import full_mask, is_subset, iter_between, iter_submasks, popcount
+from .subsets import full_mask, is_subset, iter_between, popcount
 
 
 @dataclass(frozen=True)
@@ -182,82 +182,6 @@ class CertificateReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cells)
-
-
-class SubsetMatrix:
-    """Integer matrix indexed by nested subset pairs of a fixed index set.
-
-    Entries with P not inside Q are identically zero and not stored.
-    """
-
-    def __init__(self, rank: int, entries: Optional[dict] = None):
-        self.rank = rank
-        self.entries = dict(entries) if entries else {}
-
-    def entry(self, p: int, q: int) -> int:
-        return self.entries.get((p, q), 0)
-
-    def set(self, p: int, q: int, value: int) -> None:
-        if not is_subset(p, q):
-            raise NotNested("entries live on nested pairs only")
-        if value:
-            self.entries[(p, q)] = value
-        else:
-            self.entries.pop((p, q), None)
-
-    @classmethod
-    def identity(cls, rank: int) -> "SubsetMatrix":
-        m = cls(rank)
-        for s in range(1 << rank):
-            m.set(s, s, 1)
-        return m
-
-    def mul(self, other: "SubsetMatrix") -> "SubsetMatrix":
-        if self.rank != other.rank:
-            raise NotNested("ranks differ")
-        out = SubsetMatrix(self.rank)
-        for q in range(1 << self.rank):
-            for p in iter_submasks(q):
-                total = 0
-                for s in iter_between(p, q):
-                    a = self.entries.get((p, s))
-                    if a:
-                        b = other.entries.get((s, q))
-                        if b:
-                            total += a * b
-                if total:
-                    out.entries[(p, q)] = total
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubsetMatrix)
-            and self.rank == other.rank
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"SubsetMatrix(rank={self.rank}, nonzero={len(self.entries)})"
-
-
-def signed_matrices(basis: EuclideanBasis, lam: QVector, h: QVector):
-    """The two signed indicator matrices at (lam, h).
-
-    Entry (P, Q) of the first is (-1)^(|P| + b) * theta, of the second
-    (-1)^(|P| + b-hat) * theta-hat, with counts taken on the (P, Q)
-    projection at lam.  Diagonals are (-1)^|P|.
-    """
-    n = basis.rank
-    th = SubsetMatrix(n)
-    th_hat = SubsetMatrix(n)
-    for q in range(1 << n):
-        for p in iter_submasks(q):
-            pb = basis.project(p, q)
-            sc = sign_counts(pb, lam)
-            t, t_hat = theta_pair(pb, lam, h)
-            th.set(p, q, _sign(sc.eta) * t)
-            th_hat.set(p, q, _sign(sc.eta_hat) * t_hat)
-    return th, th_hat
 
 
 def obtuse(basis: EuclideanBasis) -> bool:

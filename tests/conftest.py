@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conecert.corpus import corpus_bases, named_basis
-from conecert.linalg import QMatrix, QVector, solve
+from conecert.linalg import QVector
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -23,23 +23,6 @@ def qv(*coords) -> QVector:
 
 def frac(num, den=1) -> Fraction:
     return Fraction(num, den)
-
-
-def project_onto(basis, spanning, x: QVector) -> QVector:
-    """Orthogonal projection of x onto span(spanning), via normal equations.
-
-    The spanning family must be linearly independent.  Reference for the
-    projection-cache lookups the package uses instead.
-    """
-    if not spanning:
-        return QVector([0] * basis.rank)
-    m = QMatrix([[basis.inner(u, v) for v in spanning] for u in spanning])
-    t = QVector(basis.inner(u, x) for u in spanning)
-    c = solve(m, t)
-    out = QVector([0] * basis.rank)
-    for k, u in enumerate(spanning):
-        out = out + u.scale(c[k])
-    return out
 
 
 @pytest.fixture(scope="session")

@@ -13,17 +13,12 @@ from conecert.chambers import enumerate_cells, form_set, sample_regular
 from conecert.corpus import named_basis, random_basis
 from conecert.indicators import dominance, partition_indicators
 from conecert.linalg import QVector
-from conecert.partitions import build_frame, enumerate_ordered_partitions, fubini
+from conecert.partitions import build_frame, enumerate_ordered_partitions
 from conecert.subsets import full_mask, iter_nested_pairs, popcount
-from conecert.verifiers import (
-    CertifySession,
-    SubsetMatrix,
-    collect_forms,
-    signed_matrices,
-    verify,
-)
+from conecert.verifiers import CertifySession, collect_forms, verify
 
 import conftest
+from oracles import SubsetMatrix, fubini, signed_matrices
 
 
 def all_interval_forms(basis):
@@ -241,26 +236,26 @@ def test_acceptance_7_structural_invariants(corpus):
             for i in pb.indices:
                 for j in pb.indices:
                     want = 1 if i == j else 0
-                    if basis.inner(pb.dual(i), pb.element(j)) != want:
+                    if basis.inner(pb.duals[i], pb.elements[j]) != want:
                         failures.append((basis.name, p, q, "duality"))
             # elements read only the lower set, duals only the upper set
             wide = basis.project(p, full)
             for i in pb.indices:
-                if pb.element(i) != wide.element(i):
+                if pb.elements[i] != wide.elements[i]:
                     failures.append((basis.name, p, q, "primal nesting"))
             low = basis.project(0, q)
             for i in pb.indices:
-                if pb.dual(i) != low.duals[i]:
+                if pb.duals[i] != low.duals[i]:
                     failures.append((basis.name, p, q, "dual nesting"))
         # projected-norm identity at 500 integer points per basis
         rng = random.Random(f"a7|{basis.name}")
         pair_data = []
         for p, r in iter_nested_pairs(n):
             pb = basis.project(p, r)
-            elem_covs = [basis.covector(pb.element(i)).coords for i in pb.indices]
-            dual_covs = [basis.covector(pb.dual(i)).coords for i in pb.indices]
+            elem_covs = [basis.covector(pb.elements[i]).coords for i in pb.indices]
+            dual_covs = [basis.covector(pb.duals[i]).coords for i in pb.indices]
             gram = [
-                [basis.inner(pb.element(i), pb.element(j)) for j in pb.indices]
+                [basis.inner(pb.elements[i], pb.elements[j]) for j in pb.indices]
                 for i in pb.indices
             ]
             pair_data.append((elem_covs, dual_covs, gram))

@@ -14,7 +14,6 @@ from conecert.chambers import (
     Cell,
     _Cone,
     _independent_subset,
-    _prim,
     _witness,
     enumerate_cells,
     form_set,
@@ -24,17 +23,19 @@ from conecert.chambers import (
 from conecert.corpus import corpus_bases, named_basis
 from conecert.cli import _instances, main
 from conecert.errors import CellBudgetExceeded, SamplingExhausted, WitnessNotInterior
-from conecert.linalg import QMatrix, QVector, int_dot, invert, primitive_tuple
+from conecert.linalg import QMatrix, QVector, _prim, int_dot, invert, primitive_tuple
 from conecert.verifiers import IDENTITIES, collect_forms
 
 from conftest import qv
+from oracles import fraction_independent_subset
 
 
 def full_orthant_cells(fs, max_forms=MAX_FORMS, max_cells=MAX_CELLS):
     """Reference enumeration: double description from all 2^k seed orthants.
 
     `enumerate_cells` seeds only the half where the first form is positive
-    and mirrors each result; this is the same method without the mirror.
+    and mirrors each result; this is the same method without the mirror,
+    with the independent forms found by Fraction row reduction.
     """
     m = len(fs.forms)
     if m > max_forms:
@@ -42,7 +43,7 @@ def full_orthant_cells(fs, max_forms=MAX_FORMS, max_cells=MAX_CELLS):
     if m == 0:
         return [Cell((), QVector([0] * fs.dim))]
 
-    chosen = _independent_subset(fs.forms, fs.dim)
+    chosen = fraction_independent_subset(fs.forms, fs.dim)
     k = len(chosen)
     span_basis = [fs.forms[i] for i in chosen]  # rows of B; x = B^T y
 
@@ -52,7 +53,7 @@ def full_orthant_cells(fs, max_forms=MAX_FORMS, max_cells=MAX_CELLS):
 
     # seed cells: the 2^k orthants of the first k (independent) mapped forms
     inv = invert(QMatrix(mapped[:k]))
-    base_rays = [primitive_tuple(inv.col(j)) for j in range(k)]
+    base_rays = [primitive_tuple(row[j] for row in inv.rows) for j in range(k)]
     full_k = (1 << k) - 1
     cells = []
     for sbits in range(1 << k):
@@ -333,6 +334,13 @@ def _outcome(enum, fs, **budget):
         return "over budget"
 
 
+def test_independent_subset_matches_fraction_reduction(corpus_reference):
+    """Gram-pivot selection picks the forms Fraction row reduction picks."""
+    for name, fs, _ in corpus_reference:
+        want = fraction_independent_subset(fs.forms, fs.dim)
+        assert _independent_subset(fs.forms, fs.dim) == want, name
+
+
 def test_half_orthants_match_full_reference_on_corpus(corpus_reference):
     """Signs and witnesses equal the full-orthant reference, cell by cell."""
     assert len(corpus_reference) > 600
@@ -369,6 +377,8 @@ def arrangements(draw):
 @settings(max_examples=150, deadline=None)
 @given(arrangements())
 def test_half_orthants_match_full_reference_drawn(fs):
+    chosen = fraction_independent_subset(fs.forms, fs.dim)
+    assert _independent_subset(fs.forms, fs.dim) == chosen
     want = full_orthant_cells(fs)
     assert enumerate_cells(fs) == want
     count = len(want)

@@ -12,9 +12,11 @@ import pytest
 
 import conecert
 from conecert.cli import _parse_mode, main
-from conecert.corpus import named_basis, save_basis
+from conecert.corpus import named_basis
 from conecert.errors import ConecertError, InvalidMode
 from conecert.verifiers import CertifySession
+
+from oracles import save_basis
 
 
 def run(capsys, *argv):
@@ -255,6 +257,61 @@ def test_partitions_dump(capsys):
     assert fr["a1"]["lambda"] == ["1", "1/2"]
     assert fr["a1"]["mu"] == ["2/3", "1/3"]
     assert fr["a2"]["mu"] == ["0", "1/2"]
+
+
+MALFORMED_BASES = {
+    "bad_entry": ('{"gram": [["2", "abc"], ["-1", "2"]]}', "bad gram entry 'abc'"),
+    "zero_denominator": ('{"gram": [["1/0"]]}', "bad gram entry '1/0'"),
+    "truncated": ('{"gram": [[2, -1], [-1', "not a JSON file"),
+    "top_level_list": ("[[2, -1], [-1, 2]]", "a basis is a JSON object, not list"),
+    "rank_zero": ('{"gram": []}', "rank must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BASES))
+def test_malformed_basis_file_exits_two(capsys, tmp_path, case):
+    """A bad basis file is a configuration error: one error line, exit 2."""
+    text, message = MALFORMED_BASES[case]
+    path = tmp_path / "basis.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "certify", "--identity", "L32", "--basis", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_rank_zero_refused(capsys):
+    code, out, err = run(capsys, "certify", "--identity", "L32", "--rank", "0")
+    assert (code, out, err) == (2, "", "error: rank must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "cmd, option, value",
+    [
+        ("verify", "--bound", "0"),
+        ("certify", "--bound", "0"),
+        ("verify", "--lambda-samples", "0"),
+        ("verify", "--lambda-samples", "-3"),
+        ("certify", "--lambda-samples", "0"),
+        ("verify", "--samples", "-1"),
+        ("verify", "--samples", "0"),
+    ],
+)
+def test_non_positive_counts_exit_two(capsys, cmd, option, value):
+    """A run that would check nothing, or sample from an empty box, is refused."""
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--identity", "P41", "--basis", "A2", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be a positive integer, not {value}" in captured.err
+
+
+def test_non_integer_count_message_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "P41", "--basis", "A2", "--samples", "x"])
+    assert exc.value.code == 2
+    assert "argument --samples: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_mode_token_rejected(capsys):

@@ -16,11 +16,12 @@ from conecert.corpus import (
     random_basis,
     random_gram,
     resolve_basis,
-    save_basis,
 )
 from conecert.errors import InvalidRank, NotPositiveDefinite, RankMismatch
 from conecert.linalg import QMatrix
 from conecert.verifiers import obtuse
+
+from oracles import save_basis
 
 
 def test_named_values_small():
@@ -78,8 +79,9 @@ def test_random_gram_is_valid():
 
 
 def test_random_gram_guards():
-    with pytest.raises(InvalidRank):
-        random_gram(0, seed=1)
+    # rank 0 is refused by the basis constructor, for every way of building one
+    with pytest.raises(InvalidRank, match="rank must be positive"):
+        random_basis(0, seed=1)
     with pytest.raises(InvalidRank):
         random_gram(2, seed=1, kind="acute")
 
@@ -124,3 +126,22 @@ def test_resolve_file(tmp_path):
     path = tmp_path / "g.json"
     save_basis(named_basis("G2"), str(path))
     assert resolve_basis(str(path), None, 0).gram == named_gram("G2")
+
+
+MALFORMED = [
+    ('{"gram": [["2", "abc"], ["-1", "2"]]}', RankMismatch, "bad gram entry 'abc'"),
+    ('{"gram": [["1/0"]]}', RankMismatch, "bad gram entry '1/0'"),
+    ('{"gram": [[2, -1], [-1', RankMismatch, "not a JSON file"),
+    ("[[2, -1], [-1, 2]]", RankMismatch, "a basis is a JSON object, not list"),
+    ('{"gram": []}', InvalidRank, "rank must be positive"),
+    ('{"gram": [2, 3]}', RankMismatch, "gram must be a list of rows"),
+    ('{"gram": [[2]], "labels": 5}', RankMismatch, "labels must be a list"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED)
+def test_load_basis_malformed(tmp_path, text, error, message):
+    path = tmp_path / "basis.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=message):
+        load_basis(str(path))

@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conecert.corpus import named_basis, random_basis
-from conecert.errors import NotNested, NotPositiveDefinite, RankMismatch
+from conecert.corpus import CORPUS_NAMES, named_basis, random_basis
+from conecert.errors import InvalidRank, NotNested, NotPositiveDefinite, RankMismatch
 from conecert.geometry import lambda_cut, make_basis
 from conecert.linalg import QVector, int_dot
 from conecert.reports import mask_labels
 from conecert.subsets import full_mask, iter_nested_pairs
 
-from conftest import project_onto, qv
+from conftest import qv
+from oracles import principal_inverse_system, project_onto
 
 
 def test_make_basis_validates_gram():
@@ -70,22 +73,22 @@ def test_projection_onto_single_vector(a2):
     # drop e2 along e1: the remainder is e2 + e1/2
     pb = a2.project(0b01, 0b11)
     assert pb.indices == (1,)
-    assert pb.element(1).coords == (Fraction(1, 2), 1)
-    assert a2.inner(pb.element(1), qv(1, 0)) == 0
+    assert pb.elements[1].coords == (Fraction(1, 2), 1)
+    assert a2.inner(pb.elements[1], qv(1, 0)) == 0
     # the dual of the surviving index is the ambient dual (it avoids e1)
-    assert pb.dual(1) == a2.dual_vector(1)
+    assert pb.duals[1] == a2.dual_vector(1)
 
 
 def test_projection_other_side(a2):
     pb = a2.project(0b10, 0b11)
-    assert pb.element(0).coords == (1, Fraction(1, 2))
-    assert pb.dual(0) == a2.dual_vector(0)
+    assert pb.elements[0].coords == (1, Fraction(1, 2))
+    assert pb.duals[0] == a2.dual_vector(0)
 
 
 def test_projection_trivial_and_empty(a2):
     low = a2.project(0, 0b11)
-    assert low.element(0).coords == (1, 0)
-    assert low.dual(0) == a2.dual_vector(0)
+    assert low.elements[0].coords == (1, 0)
+    assert low.duals[0] == a2.dual_vector(0)
     empty = a2.project(0b11, 0b11)
     assert empty.indices == ()
     assert empty.size == 0
@@ -104,7 +107,7 @@ def test_duality_pairings_all_pairs(a3):
         for i in pb.indices:
             for j in pb.indices:
                 want = 1 if i == j else 0
-                assert a3.inner(pb.dual(i), pb.element(j)) == want
+                assert a3.inner(pb.duals[i], pb.elements[j]) == want
 
 
 def test_elements_orthogonal_to_lower(a3):
@@ -113,7 +116,7 @@ def test_elements_orthogonal_to_lower(a3):
         for i in pb.indices:
             for j in range(a3.rank):
                 if p >> j & 1:
-                    assert a3.inner(pb.element(i), qv(*(int(k == j) for k in range(3)))) == 0
+                    assert a3.inner(pb.elements[i], qv(*(int(k == j) for k in range(3)))) == 0
 
 
 def test_primal_nesting(a3):
@@ -123,7 +126,7 @@ def test_primal_nesting(a3):
         wide = a3.project(p, full)
         pb = a3.project(p, q)
         for i in pb.indices:
-            assert pb.element(i) == wide.element(i)
+            assert pb.elements[i] == wide.elements[i]
 
 
 def test_dual_nesting(a3):
@@ -134,7 +137,7 @@ def test_dual_nesting(a3):
             if q2 == q and s & p == p:
                 up = a3.project(s, q)
                 for i in up.indices:
-                    assert up.dual(i) == pb.dual(i)
+                    assert up.duals[i] == pb.duals[i]
 
 
 def test_lambda_cut_degenerate_direction(a2):
@@ -159,9 +162,9 @@ def test_lambda_cut_brute_force(a2):
             p_want = 0
             q_want = 0
             for i in pb.indices:
-                if a2.inner(pb.dual(i), lam) <= 0:
+                if a2.inner(pb.duals[i], lam) <= 0:
                     p_want |= 1 << i
-                if a2.inner(pb.element(i), lam) > 0:
+                if a2.inner(pb.elements[i], lam) > 0:
                     q_want |= 1 << i
             assert cut.p_lambda == p_want
             assert cut.q_lambda == q_want
@@ -183,10 +186,10 @@ def test_projection_norm_identity(b2):
         pb = b2.project(p, r)
         for h in (qv(3, -1), qv(-2, 5), qv(1, 1), qv(0, -4)):
             total = sum(
-                (b2.inner(pb.element(i), h) * b2.inner(pb.dual(i), h) for i in pb.indices),
+                (b2.inner(pb.elements[i], h) * b2.inner(pb.duals[i], h) for i in pb.indices),
                 Fraction(0),
             )
-            proj = project_onto(b2, [pb.element(i) for i in pb.indices], h)
+            proj = project_onto(b2, [pb.elements[i] for i in pb.indices], h)
             assert total == b2.inner(proj, proj)
             assert total >= 0
             assert (total == 0) == proj.is_zero()
@@ -201,4 +204,29 @@ def test_random_basis_projections_pair_correctly():
     pb = basis.full_projection()
     for i in pb.indices:
         for j in pb.indices:
-            assert basis.inner(pb.dual(i), pb.element(j)) == (1 if i == j else 0)
+            assert basis.inner(pb.duals[i], pb.elements[j]) == (1 if i == j else 0)
+
+
+def assert_systems_match_principal_inverses(basis):
+    """Every nested pair: the normal-equation families equal the principal-inverse ones."""
+    for p, q in iter_nested_pairs(basis.rank):
+        pb = basis.project(p, q)
+        got = (pb.elements, pb.duals, pb.elem_icov, pb.dual_icov)
+        assert got == principal_inverse_system(basis, p, q), (basis.name, p, q)
+        assert list(pb.elements) == list(pb.duals) == list(pb.indices)
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "A5", "D5", "F4"])
+def test_systems_match_principal_inverses(name):
+    assert_systems_match_principal_inverses(named_basis(name))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10**6), st.sampled_from(["general", "obtuse"]))
+def test_systems_match_principal_inverses_random_bases(rank, seed, kind):
+    assert_systems_match_principal_inverses(random_basis(rank, seed, kind))
+
+
+def test_rank_zero_basis_refused():
+    with pytest.raises(InvalidRank, match="rank must be positive"):
+        make_basis([])

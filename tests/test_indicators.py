@@ -78,8 +78,8 @@ def test_theta_sign_table_rank2(a2):
     lam = qv(1, -1)  # dual 1 pairs positively, dual 2 non-positively
     assert sign_counts(pb, lam).b == 1
     for h in regular_points(a2, 40, "theta-table"):
-        e1 = a2.inner(pb.element(0), h) > 0
-        e2 = a2.inner(pb.element(1), h) > 0
+        e1 = a2.inner(pb.elements[0], h) > 0
+        e2 = a2.inner(pb.elements[1], h) > 0
         want = int((not e1) and e2)
         assert theta_pair(pb, lam, h)[0] == want
 
@@ -91,8 +91,8 @@ def test_theta_hat_swaps_roles(a2):
         th_hat = theta_pair(pb, lam, h)[1]
         want = 1
         for i in pb.indices:
-            e_l = a2.inner(pb.element(i), lam) > 0
-            d_h = a2.inner(pb.dual(i), h) > 0
+            e_l = a2.inner(pb.elements[i], lam) > 0
+            d_h = a2.inner(pb.duals[i], h) > 0
             if d_h if e_l else not d_h:
                 want = 0
         assert th_hat == want

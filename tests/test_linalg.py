@@ -1,9 +1,11 @@
-"""Exact rational linear algebra: solving, inversion, minors, primitives."""
+"""Exact rational linear algebra: the one elimination, solving, inversion, Gram checks, primitives."""
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert.corpus import named_basis
@@ -19,12 +21,14 @@ from conecert.linalg import (
     check_gram,
     int_dot,
     invert,
-    leading_minors,
+    pivots,
     primitive_tuple,
     solve,
     unit_vector,
 )
 from conecert.subsets import iter_nested_pairs
+
+from oracles import leading_minors
 
 
 def test_qvector_arithmetic_is_exact():
@@ -32,7 +36,6 @@ def test_qvector_arithmetic_is_exact():
     v = QVector([Fraction(1, 3), -1])
     assert (u + v).coords == (Fraction(4, 3), Fraction(-1, 2))
     assert (u - v).coords == (Fraction(2, 3), Fraction(3, 2))
-    assert (-u).coords == (-1, Fraction(-1, 2))
     assert u.scale(6).coords == (6, 3)
     assert u.dot(v) == Fraction(1, 3) - Fraction(1, 2)
 
@@ -87,19 +90,35 @@ def test_invert_chain_gram():
 def test_invert_roundtrip():
     m = QMatrix([[3, 1, 0], [1, 4, -2], [0, -2, 5]])
     inv = invert(m)
-    columns = [m.mul_vec(inv.col(j)).coords for j in range(3)]  # of m @ inv
+    columns = [m.mul_vec(QVector(row[j] for row in inv.rows)).coords for j in range(3)]
     assert QMatrix(columns) == IDENTITY_3
 
 
+def _pivot_minors(rows):
+    """Running products of the pivots, up to and including the first <= 0."""
+    out = []
+    for minor in accumulate(pivots([list(r) for r in rows]), mul):
+        out.append(minor)
+        if minor <= 0:
+            break
+    return out
+
+
 def test_leading_minors_natural_order():
-    assert leading_minors(QMatrix([[1, 2], [2, 1]])) == [1, -3]
-    assert leading_minors(QMatrix([[2, -1], [-1, 2]])) == [2, 3]
+    for rows in ([[1, 2], [2, 1]], [[2, -1], [-1, 2]], [[3, 1, 0], [1, 4, -2], [0, -2, 5]]):
+        assert _pivot_minors(rows) == leading_minors(rows)
+    assert _pivot_minors([[1, 2], [2, 1]]) == [1, -3]
+    assert _pivot_minors([[2, -1], [-1, 2]]) == [2, 3]
 
 
 def test_leading_minors_zero_pivot_fallback():
-    # top-left entry vanishes, so elimination cannot produce the pivots
-    m = QMatrix([[0, 1], [1, 0]])
-    assert leading_minors(m) == [0, -1]
+    # the top-left entry vanishes: the pivots stop there, before any row swap
+    rows = [[0, 1], [1, 0]]
+    assert leading_minors(rows) == [0, -1]
+    assert _pivot_minors(rows) == [0]
+    with pytest.raises(NotPositiveDefinite) as exc:
+        check_gram(QMatrix(rows))
+    assert (exc.value.order, exc.value.minor) == (1, 0)
 
 
 def test_check_gram_accepts_definite():
@@ -111,6 +130,42 @@ def test_check_gram_reports_failing_minor():
         check_gram(QMatrix([[1, 2], [2, 1]]))
     assert exc.value.order == 2
     assert exc.value.minor == -3
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric integer matrices; a copied row and column forces a zero minor."""
+    n = draw(st.integers(1, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    if n > 1 and draw(st.booleans()):
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        rows[b] = list(rows[a])
+        for row in rows:
+            row[b] = row[a]
+    return rows
+
+
+@settings(max_examples=300, derandomize=True)
+@given(symmetric_matrices())
+@example([[0]])
+@example([[2, 1, 0], [1, 2, 3], [0, 3, 1]])
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+@example([[2, -1, 2], [-1, 2, -1], [2, -1, 2]])
+def test_check_gram_matches_cofactor_minors(rows):
+    """check_gram reports the first non-positive leading minor, order and value."""
+    minors = leading_minors(rows)
+    first_bad = next(((k, m) for k, m in enumerate(minors, start=1) if m <= 0), None)
+    if first_bad is None:
+        check_gram(QMatrix(rows))
+        assert _pivot_minors(rows) == minors
+        return
+    with pytest.raises(NotPositiveDefinite) as exc:
+        check_gram(QMatrix(rows))
+    assert (exc.value.order, exc.value.minor) == first_bad
+    assert _pivot_minors(rows) == minors[: first_bad[0]]
 
 
 def test_check_gram_rejects_asymmetric():

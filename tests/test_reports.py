@@ -15,7 +15,6 @@ from conecert.linalg import QVector
 from conecert.partitions import OrderedPartition
 from conecert.reports import (
     coords_list,
-    frac_str,
     mask_labels,
     render_json,
     render_verdict_line,
@@ -59,13 +58,14 @@ def written(records, reports, summary, walls=None) -> str:
 
 
 def test_frac_str():
-    assert frac_str(Fraction(1, 2)) == "1/2"
-    assert frac_str(3) == "3"
-    assert frac_str(Fraction(-7, 3)) == "-7/3"
+    """coords_list writes fraction strings; an int and the equal Fraction agree."""
+    assert coords_list((Fraction(1, 2), 3, Fraction(-7, 3))) == ["1/2", "3", "-7/3"]
+    assert coords_list((3, -4, 0)) == coords_list((Fraction(3), Fraction(-4), Fraction(0)))
 
 
 def test_coords_list():
     assert coords_list(QVector([1, Fraction(-1, 2)])) == ["1", "-1/2"]
+    assert coords_list((2, -5)) == coords_list(QVector([2, -5])) == ["2", "-5"]
 
 
 def test_mask_labels(a2):
@@ -210,9 +210,11 @@ def certificate_payloads(draw):
     dim = draw(st.integers(0, 3))
     m = draw(st.integers(0, 3))
     raw = st.tuples(
-        st.tuples(*[st.sampled_from((-1, 1))] * m), st.lists(_fracs, min_size=dim, max_size=dim)
+        st.tuples(*[st.sampled_from((-1, 1))] * m),
+        st.lists(_fracs, min_size=dim, max_size=dim).map(QVector)
+        | st.lists(st.integers(-40, 40), min_size=dim, max_size=dim).map(tuple),
     )
-    pool = [(signs, QVector(h)) for signs, h in draw(st.lists(raw, max_size=4))]
+    pool = draw(st.lists(raw, max_size=4))
     reports = []
     for _ in range(draw(st.integers(0, 3))):
         picks = draw(st.lists(st.sampled_from(pool), max_size=5)) if pool else []
